@@ -36,10 +36,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -94,8 +97,50 @@ struct Options {
   long proactive_period_ms = 0;
 };
 
-double parse_double(const char* v) { return std::strtod(v, nullptr); }
-long parse_long(const char* v) { return std::strtol(v, nullptr, 10); }
+int usage();
+
+/// Runs `parse` (a strto* call) on `v` and exits through usage() unless it
+/// consumed all of `v` without overflow: a malformed or partly numeric flag
+/// value is a usage error, never a silent 0.
+template <typename Parse>
+auto parse_full(const char* v, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  auto n = parse(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE) std::exit(usage());
+  return n;
+}
+
+double parse_double(const char* v) {
+  return parse_full(
+      v, [](const char* s, char** e) { return std::strtod(s, e); });
+}
+
+long parse_long(const char* v) {
+  return parse_full(
+      v, [](const char* s, char** e) { return std::strtol(s, e, 10); });
+}
+
+/// Seeds take any base strtoull recognises (42, 0x2a, 052).
+std::uint64_t parse_seed(const char* v) {
+  if (*v == '-') std::exit(usage());
+  return parse_full(
+      v, [](const char* s, char** e) { return std::strtoull(s, e, 0); });
+}
+
+/// Comma-separated positive values ("250,500,1000"); non-positive entries
+/// are skipped.
+std::vector<double> parse_list(const char* v) {
+  std::vector<double> out;
+  std::string text(v);
+  for (std::size_t pos = 0; pos <= text.size();) {
+    std::size_t comma = std::min(text.find(',', pos), text.size());
+    double x = parse_double(text.substr(pos, comma - pos).c_str());
+    if (x > 0) out.push_back(x);
+    pos = comma + 1;
+  }
+  return out;
+}
 
 int usage() {
   std::fprintf(
@@ -230,9 +275,11 @@ class SocketHarness {
         std::getenv("SS_STATE_DIR") == nullptr) {
       // Proactive reincarnation is only meaningful with durable state: the
       // killed replica must reboot from its checkpoint + WAL, not from
-      // scratch. Give the group a throwaway state root if none was set.
+      // scratch. Give the group a throwaway state root if none was set;
+      // the destructor removes it.
       char tmpl[] = "/tmp/smart-scada-load-state-XXXXXX";
       if (::mkdtemp(tmpl) != nullptr) {
+        state_root_ = tmpl;
         ::setenv("SS_STATE_DIR", tmpl, 1);
         ::setenv("SS_CHECKPOINT_INTERVAL", "16", /*overwrite=*/0);
       }
@@ -294,6 +341,11 @@ class SocketHarness {
       if (pid > 0) ::waitpid(pid, nullptr, 0);
     }
     if (!config_.empty()) ::unlink(config_.c_str());
+    if (!state_root_.empty()) {
+      // Every replica's WAL, checkpoint, key epoch and USIG counter.
+      std::error_code ec;
+      std::filesystem::remove_all(state_root_, ec);
+    }
   }
 
   /// Subscribes the HMI and proves both op paths end-to-end (one write,
@@ -450,6 +502,7 @@ class SocketHarness {
   Options opt_;
   std::string deploy_;
   std::string config_;
+  std::string state_root_;  ///< set when this harness made the state root
   std::uint16_t base_port_ = 0;
   GroupConfig group_ = GroupConfig::for_f(1);
   std::vector<pid_t> replicas_;
@@ -555,7 +608,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--clients") {
       opt.schedule.clients = static_cast<std::uint32_t>(parse_long(v));
     } else if (flag == "--seed") {
-      opt.schedule.seed = static_cast<std::uint64_t>(parse_long(v));
+      opt.schedule.seed = parse_seed(v);
     } else if (flag == "--timeout") {
       opt.op_timeout = millis(parse_long(v));
     } else if (flag == "--burst-mult") {
@@ -577,21 +630,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--deploy") {
       opt.deploy = v;
     } else if (flag == "--sweep") {
-      for (const char* p = v; *p != '\0';) {
-        char* end = nullptr;
-        double rate = std::strtod(p, &end);
-        if (end == p) break;
-        if (rate > 0) opt.sweep.push_back(rate);
-        p = (*end == ',') ? end + 1 : end;
-      }
+      opt.sweep = parse_list(v);
     } else if (flag == "--sweep-burst") {
-      for (const char* p = v; *p != '\0';) {
-        char* end = nullptr;
-        double mult = std::strtod(p, &end);
-        if (end == p) break;
-        if (mult > 0) opt.sweep_burst.push_back(mult);
-        p = (*end == ',') ? end + 1 : end;
-      }
+      opt.sweep_burst = parse_list(v);
     } else if (flag == "--alarm-pct") {
       opt.alarm_pct = static_cast<int>(parse_long(v));
     } else if (flag == "--proactive-period") {

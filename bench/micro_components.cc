@@ -5,6 +5,8 @@
 // to the paper's 2.27 GHz Xeon E5520 / Java 7 testbed.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bft/messages.h"
 #include "core/push_voter.h"
 #include "crypto/hmac.h"
@@ -171,6 +173,48 @@ void BM_MasterSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MasterSnapshot)->Arg(10)->Arg(100)->Arg(1000);
+
+/// A master as `deploy replica` configures it for the alarm workload
+/// (retention 0, a Monitor that raises an event on every temperature
+/// update), fed `updates` updates.
+std::unique_ptr<scada::ScadaMaster> alarm_master(std::int64_t updates) {
+  scada::MasterOptions options;
+  options.deterministic = true;
+  auto master = std::make_unique<scada::ScadaMaster>(std::move(options));
+  ItemId item = master->add_item("plant/reactor/temperature");
+  master->add_item("plant/reactor/setpoint");
+  master->handlers(item).emplace<scada::MonitorHandler>(
+      scada::MonitorHandler::Condition::kAbove, 100.0);
+  scada::ItemUpdate update;
+  update.item = item;
+  scada::MsgContext ctx;
+  for (std::int64_t k = 0; k < updates; ++k) {
+    update.value = scada::Variant{1e9 + static_cast<double>(k)};
+    ctx.op = OpId{static_cast<std::uint64_t>(k + 1)};
+    ctx.timestamp = static_cast<SimTime>(k + 1) * 1000;
+    master->handle(scada::ScadaMessage{update}, ctx, "frontend");
+  }
+  return master;
+}
+
+/// snapshot() with a populated event log: what state transfer and durable
+/// checkpoints pay.
+void BM_MasterSnapshotEventLog(benchmark::State& state) {
+  auto master = alarm_master(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(master->snapshot());
+  }
+}
+BENCHMARK(BM_MasterSnapshotEventLog)->Arg(20000);
+
+/// The checkpoint digest over the same state.
+void BM_MasterStateDigest(benchmark::State& state) {
+  auto master = alarm_master(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(master->state_digest());
+  }
+}
+BENCHMARK(BM_MasterStateDigest)->Arg(20000);
 
 }  // namespace
 

@@ -10,6 +10,7 @@
 
 #include "common/bytes.h"
 #include "common/types.h"
+#include "crypto/sha256.h"
 
 namespace ss::bft {
 
@@ -52,6 +53,13 @@ class Recoverable {
 
   /// Replaces the application state with a snapshot.
   virtual void restore(ByteView snapshot) = 0;
+
+  /// Digest of snapshot(), taken at every checkpoint. Applications whose
+  /// state is large override it to hash their state in place instead of
+  /// materialising the snapshot; the result must stay equal to this one.
+  virtual crypto::Digest state_digest() const {
+    return crypto::Sha256::hash(snapshot());
+  }
 };
 
 /// Replica-to-client push channel. SCADA is event-driven: a single ordered

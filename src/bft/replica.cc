@@ -557,14 +557,14 @@ void ReplicaCore::apply_full_snapshot(ByteView data) {
 void ReplicaCore::maybe_checkpoint() {
   if (opt_.checkpoint_interval == 0) return;
   if (last_decided_.value % opt_.checkpoint_interval != 0) return;
-  checkpoint_digest_ = crypto::Sha256::hash(recoverable_.snapshot());
+  checkpoint_digest_ = recoverable_.state_digest();
   checkpoint_cid_ = last_decided_;
   ++stats_.checkpoints;
   write_storage_checkpoint();
 }
 
 void ReplicaCore::checkpoint_now() {
-  checkpoint_digest_ = crypto::Sha256::hash(recoverable_.snapshot());
+  checkpoint_digest_ = recoverable_.state_digest();
   checkpoint_cid_ = last_decided_;
   ++stats_.checkpoints;
   write_storage_checkpoint();
@@ -702,7 +702,7 @@ void ReplicaCore::handle_state_reply(const StateReply& rep) {
       // Persist the transferred state as a checkpoint immediately (which
       // also truncates the now-stale WAL prefix) so the on-disk WAL never
       // has a seq gap below the checkpoint it would replay against.
-      checkpoint_digest_ = crypto::Sha256::hash(recoverable_.snapshot());
+      checkpoint_digest_ = recoverable_.state_digest();
       checkpoint_cid_ = last_decided_;
       write_storage_checkpoint();
     }

@@ -85,6 +85,9 @@ class Adapter final : public bft::Executable, public bft::Recoverable {
   // --- bft::Recoverable -----------------------------------------------------
   Bytes snapshot() const override { return master_.snapshot(); }
   void restore(ByteView data) override;
+  crypto::Digest state_digest() const override {
+    return master_.state_digest();
+  }
 
   const AdapterStats& stats() const { return stats_; }
   const std::string& endpoint() const { return endpoint_; }

@@ -1,6 +1,6 @@
 // Network shims: put a transport-agnostic SCADA component behind a network
 // endpoint speaking authenticated SCADA frames, with a CPU service-time
-// model (ServiceLanes) in front of its message handler.
+// model (net::Lanes) in front of its message handler.
 //
 // The same Hmi/Frontend cores run in both deployments; only the peer
 // differs (the Master directly in the baseline, the respective proxy in

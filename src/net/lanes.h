@@ -1,12 +1,18 @@
-// Transport-backed CPU service-time modelling.
+// CPU service-time modelling.
 //
-// Same model as sim::ServiceLanes (a bank of k identical service lanes; see
-// that header for the paper rationale) but expressed against the Transport
-// seam, so components that charge virtual CPU cost work on any backend.
-// On the simulated backend the arithmetic and the scheduled event times are
-// identical to sim::ServiceLanes, keeping runs byte-identical. On the
-// socket backend costs are usually zero (real CPUs charge themselves); a
-// non-zero cost degrades gracefully into a real delay.
+// The paper attributes part of SMaRt-SCADA's overhead to the refactored,
+// single-threaded SCADA Master ("it does not take full advantage of
+// multi-core CPUs", §V-B). We model a component's CPU as a bank of k
+// identical service lanes: work submitted to the bank starts on the earliest
+// free lane and completes after its cost. The baseline NeoSCADA Master runs
+// with k = 8 (two quad-core Xeons, as in the paper's testbed); the
+// deterministic SMaRt-SCADA Master runs with k = 1.
+//
+// The model is expressed against the Transport seam, so components that
+// charge virtual CPU cost work on any backend. On the simulated backend
+// completions land at exact virtual times. On the socket backend costs are
+// usually zero (real CPUs charge themselves); a non-zero cost degrades
+// gracefully into a real delay.
 #pragma once
 
 #include <algorithm>

@@ -134,13 +134,13 @@ void ScadaMaster::emit_to_da(ItemId item, const ScadaMessage& msg) {
 void ScadaMaster::emit_events(ItemId item, std::vector<Event>& events,
                               const MsgContext& ctx) {
   for (Event& event : events) {
-    const Event& stored = storage_.append(std::move(event));
+    Event stored = storage_.append(std::move(event));
     ++counters_.events_created;
     if (!ae_sink_) continue;
     EventUpdate update;
     update.ctx = ctx;
     update.ctx.timestamp = stored.timestamp;
-    update.event = stored;
+    update.event = std::move(stored);
     ScadaMessage msg{std::move(update)};
     for (const std::string& sub :
          subscribers_for(ae_subs_, ae_wildcard_, item)) {
@@ -278,7 +278,7 @@ void ScadaMaster::inject_timeout_result(OpId op) {
 // --------------------------------------------------------------------------
 // replica state
 
-Bytes ScadaMaster::snapshot() const {
+ScadaMaster::StatePieces ScadaMaster::state_pieces() const {
   Writer w(1024);
   w.varint(items_.size());
   for (const auto& [id, item] : items_) item.encode(w);
@@ -311,8 +311,19 @@ Bytes ScadaMaster::snapshot() const {
     w.str(pending.requester);
   }
 
-  storage_.encode(w);
-  historian_.encode(w);
+  storage_.encode_header(w);
+  Writer historian;
+  historian_.encode(historian);
+  return {std::move(w).take(), storage_.log(), std::move(historian).take()};
+}
+
+Bytes ScadaMaster::snapshot() const {
+  StatePieces pieces = state_pieces();
+  Writer w(pieces.head.size() + storage_.log_bytes() +
+           pieces.historian.size());
+  w.raw(pieces.head);
+  for (ByteView block : pieces.log) w.raw(block);
+  w.raw(pieces.historian);
   return std::move(w).take();
 }
 
@@ -367,7 +378,12 @@ void ScadaMaster::restore(ByteView data) {
 }
 
 crypto::Digest ScadaMaster::state_digest() const {
-  return crypto::Sha256::hash(snapshot());
+  StatePieces pieces = state_pieces();
+  crypto::Sha256 hasher;
+  hasher.update(pieces.head);
+  for (ByteView block : pieces.log) hasher.update(block);
+  hasher.update(pieces.historian);
+  return hasher.finish();
 }
 
 }  // namespace ss::scada

@@ -111,9 +111,21 @@ class ScadaMaster {
   /// replicas and is not included.
   Bytes snapshot() const;
   void restore(ByteView data);
+  /// Sha256::hash(snapshot()), computed without materialising the snapshot:
+  /// the event log is hashed where it lies.
   crypto::Digest state_digest() const;
 
  private:
+  /// The snapshot is head ‖ log ‖ historian. `head` holds everything before
+  /// the event log (items through the storage header); `log` views the
+  /// storage's resident encodings.
+  struct StatePieces {
+    Bytes head;
+    std::vector<ByteView> log;
+    Bytes historian;
+  };
+  StatePieces state_pieces() const;
+
   struct PendingWrite {
     ItemId item;
     Variant value;

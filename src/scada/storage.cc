@@ -1,10 +1,30 @@
 #include "scada/storage.h"
 
+#include <algorithm>
+
 namespace ss::scada {
 
-const Event& EventStorage::append(Event event) {
+namespace {
+
+/// Decodes every event in `log` and keeps those `keep` accepts.
+template <typename Keep>
+std::vector<Event> decode_if(const std::vector<ByteView>& log, Keep keep) {
+  std::vector<Event> out;
+  for (ByteView block : log) {
+    Reader r(block);
+    while (!r.done()) {
+      Event e = Event::decode(r);
+      if (keep(e)) out.push_back(std::move(e));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Event EventStorage::append(Event event) {
   event.id = EventId{appended_ + 1};
-  Writer w(96);
+  Writer w(128);
   event.encode(w);
 
   crypto::Sha256 hasher;
@@ -13,48 +33,90 @@ const Event& EventStorage::append(Event event) {
   chain_ = hasher.finish();
 
   ++appended_;
-  events_.push_back(std::move(event));
-  if (retention_ > 0 && events_.size() > retention_) events_.pop_front();
-  return events_.back();
+  place(w.bytes());
+  if (retention_ > 0 && ends_.size() > retention_) evict_oldest();
+  return event;
+}
+
+void EventStorage::place(ByteView encoded) {
+  if (blocks_.empty() ||
+      blocks_.back().size() + encoded.size() > kBlockBytes) {
+    // The first block grows on demand so a small storage stays small; once
+    // a second one is needed the log is large, and blocks are sized whole.
+    bool first = blocks_.empty();
+    blocks_.emplace_back();
+    if (!first) blocks_.back().reserve(std::max(kBlockBytes, encoded.size()));
+  }
+  Bytes& tail = blocks_.back();
+  tail.insert(tail.end(), encoded.begin(), encoded.end());
+  ends_.push_back(static_cast<std::uint32_t>(tail.size()));
+  log_bytes_ += encoded.size();
+}
+
+void EventStorage::evict_oldest() {
+  std::size_t end = ends_.front();
+  ends_.pop_front();
+  log_bytes_ -= end - head_;
+  head_ = end;
+  Bytes& front = blocks_.front();
+  if (head_ == front.size()) {
+    blocks_.pop_front();
+    head_ = 0;
+  } else if (blocks_.size() == 1 && head_ * 2 > front.size()) {
+    // The only block is still being appended to, so it is never freed
+    // whole: drop its evicted head once that is the larger half.
+    front.erase(front.begin(),
+                front.begin() + static_cast<std::ptrdiff_t>(head_));
+    for (std::uint32_t& e : ends_) e -= static_cast<std::uint32_t>(head_);
+    head_ = 0;
+  }
 }
 
 std::vector<Event> EventStorage::query_item(ItemId item) const {
-  std::vector<Event> out;
-  for (const Event& e : events_) {
-    if (e.item == item) out.push_back(e);
-  }
-  return out;
+  return decode_if(log(), [item](const Event& e) { return e.item == item; });
 }
 
 std::vector<Event> EventStorage::query_severity(Severity floor) const {
-  std::vector<Event> out;
-  for (const Event& e : events_) {
-    if (e.severity >= floor) out.push_back(e);
-  }
-  return out;
+  return decode_if(log(),
+                   [floor](const Event& e) { return e.severity >= floor; });
 }
 
 std::vector<Event> EventStorage::query_range(SimTime from, SimTime to) const {
-  std::vector<Event> out;
-  for (const Event& e : events_) {
-    if (e.timestamp >= from && e.timestamp <= to) out.push_back(e);
-  }
-  return out;
+  return decode_if(log(), [from, to](const Event& e) {
+    return e.timestamp >= from && e.timestamp <= to;
+  });
+}
+
+std::vector<ByteView> EventStorage::log() const {
+  std::vector<ByteView> views(blocks_.begin(), blocks_.end());
+  if (!views.empty()) views.front() = views.front().subspan(head_);
+  return views;
+}
+
+void EventStorage::encode_header(Writer& w) const {
+  w.varint(appended_);
+  w.raw(ByteView(chain_));
+  w.varint(ends_.size());
 }
 
 void EventStorage::encode(Writer& w) const {
-  w.varint(appended_);
-  w.raw(ByteView(chain_));
-  w.varint(events_.size());
-  for (const Event& e : events_) e.encode(w);
+  encode_header(w);
+  for (ByteView block : log()) w.raw(block);
 }
 
 void EventStorage::decode(Reader& r) {
   appended_ = r.varint();
   for (auto& b : chain_) b = r.u8();
   std::uint64_t n = r.varint();
-  events_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) events_.push_back(Event::decode(r));
+  blocks_.clear();
+  ends_.clear();
+  head_ = 0;
+  log_bytes_ = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Writer w(128);
+    Event::decode(r).encode(w);
+    place(w.bytes());
+  }
 }
 
 }  // namespace ss::scada

@@ -2,6 +2,8 @@
 // handlers, master routing, frontend, HMI.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "scada/frontend.h"
 #include "scada/handlers.h"
 #include "scada/hmi.h"
@@ -236,6 +238,103 @@ TEST(Storage, EncodeDecodeRoundTrip) {
   EXPECT_EQ(restored.chain_digest(), storage.chain_digest());
 }
 
+/// Events of varied size: most are small, every 50th is larger than a log
+/// block, so a run crosses ordinary and oversized block boundaries.
+Event sized_event(int i) {
+  Event e;
+  e.item = ItemId{static_cast<std::uint32_t>(1 + i % 3)};
+  e.severity = static_cast<Severity>(i % 4);
+  e.code = "C" + std::to_string(i);
+  e.message = std::string(
+      i % 50 == 49 ? 70000 : 40 + static_cast<std::size_t>(i * 379) % 3000,
+      'm');
+  e.value = Variant{static_cast<double>(i)};
+  e.timestamp = millis(i);
+  e.op = OpId{static_cast<std::uint64_t>(i + 1)};
+  return e;
+}
+
+/// What encode() wrote before events were kept encoded: the header, then
+/// each resident event encoded in turn.
+Bytes reference_encoding(const EventStorage& storage,
+                         const std::deque<Event>& resident) {
+  Writer w;
+  w.varint(storage.size());
+  w.raw(ByteView(storage.chain_digest()));
+  w.varint(resident.size());
+  for (const Event& e : resident) e.encode(w);
+  return std::move(w).take();
+}
+
+class StorageLog : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StorageLog, EncodingMatchesPerEventReference) {
+  const std::size_t retention = GetParam();
+  EventStorage storage(retention);
+  std::deque<Event> resident;
+  for (int i = 0; i < 200; ++i) {
+    resident.push_back(storage.append(sized_event(i)));
+    if (retention > 0 && resident.size() > retention) resident.pop_front();
+    Writer w;
+    storage.encode(w);
+    ASSERT_EQ(w.bytes(), reference_encoding(storage, resident))
+        << "after event " << i;
+    ASSERT_EQ(storage.resident(), resident.size());
+    Writer header;  // snapshot() sizes its buffer from log_bytes()
+    storage.encode_header(header);
+    ASSERT_EQ(header.size() + storage.log_bytes(), w.size());
+  }
+  std::vector<Event> all(resident.begin(), resident.end());
+  EXPECT_EQ(storage.query_range(0, millis(1000)), all);
+  std::vector<Event> item2;
+  for (const Event& e : all) {
+    if (e.item == ItemId{2}) item2.push_back(e);
+  }
+  EXPECT_EQ(storage.query_item(ItemId{2}), item2);
+}
+
+TEST_P(StorageLog, DecodeRestoresTheSameLog) {
+  EventStorage storage(GetParam());
+  for (int i = 0; i < 120; ++i) storage.append(sized_event(i));
+  Writer w;
+  storage.encode(w);
+
+  EventStorage restored(GetParam());
+  Reader r(w.bytes());
+  restored.decode(r);
+  EXPECT_TRUE(r.done());
+  Writer again;
+  restored.encode(again);
+  EXPECT_EQ(again.bytes(), w.bytes());
+  EXPECT_EQ(restored.log_bytes(), storage.log_bytes());
+  EXPECT_EQ(restored.query_severity(Severity::kAlarm),
+            storage.query_severity(Severity::kAlarm));
+
+  // Both keep evicting and chaining identically after the restore.
+  for (int i = 120; i < 200; ++i) {
+    storage.append(sized_event(i));
+    restored.append(sized_event(i));
+  }
+  Writer a, b;
+  storage.encode(a);
+  restored.encode(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(Retention, StorageLog, ::testing::Values(0u, 4u));
+
+TEST(Storage, DecodeRejectsTruncatedEvent) {
+  EventStorage storage;
+  storage.append(sized_event(1));
+  storage.append(sized_event(2));
+  Writer w;
+  storage.encode(w);
+  Bytes truncated(w.bytes().begin(), w.bytes().end() - 1);
+  EventStorage restored;
+  Reader r(truncated);
+  EXPECT_THROW(restored.decode(r), DecodeError);
+}
+
 // ---------------------------------------------------------------------------
 // Handlers
 
@@ -411,7 +510,8 @@ struct MasterHarness {
   std::vector<ScadaMessage> frontend_out;
   ItemId item;
 
-  MasterHarness() : master(make_options()) {
+  explicit MasterHarness(std::size_t retention = 0)
+      : master(make_options(retention)) {
     master.set_da_sink([this](const std::string& sub, const ScadaMessage& m) {
       hmi_out.emplace_back(sub, m);
     });
@@ -429,9 +529,10 @@ struct MasterHarness {
                   MsgContext{}, "hmi");
   }
 
-  static MasterOptions make_options() {
+  static MasterOptions make_options(std::size_t retention) {
     MasterOptions options;
     options.deterministic = true;
+    options.storage_retention = retention;
     return options;
   }
 
@@ -695,6 +796,81 @@ TEST(Master, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(other.master.storage().size(), 1u);
   EXPECT_DOUBLE_EQ(other.master.item(h.item)->value.as_double(), 20.0);
 }
+
+/// Gives `h` every kind of replicated state: events (an alarm per update),
+/// historian samples, DA/AE subscriptions and one pending write.
+void populate(MasterHarness& h, int updates) {
+  h.master.handlers(h.item).emplace<MonitorHandler>(
+      MonitorHandler::Condition::kAbove, 10.0);
+  h.master.handle(ScadaMessage{Subscribe{Channel::kAe, h.item, "panel"}},
+                  MsgContext{}, "panel");
+  for (int i = 0; i < updates; ++i) {
+    ItemUpdate update;
+    update.item = h.item;
+    update.value = Variant{20.0 + i};
+    auto op = static_cast<std::uint64_t>(i + 1);
+    h.master.handle(ScadaMessage{update},
+                    h.ctx(op, millis(static_cast<SimTime>(op))), "frontend");
+  }
+  WriteValue write;
+  write.item = h.item;
+  write.value = Variant{5.0};
+  h.master.handle(ScadaMessage{write}, h.ctx(1000, millis(1000)), "hmi");
+}
+
+class MasterState : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MasterState, StateDigestHashesTheSnapshot) {
+  MasterHarness h(GetParam());
+  populate(h, 40);
+  ASSERT_GT(h.master.storage().resident(), 0u);
+  ASSERT_GT(h.master.historian().total_samples(), 0u);
+  ASSERT_EQ(h.master.pending_write_count(), 1u);
+  EXPECT_EQ(h.master.state_digest(), crypto::Sha256::hash(h.master.snapshot()));
+}
+
+TEST_P(MasterState, RestoreRoundTripsEventLog) {
+  MasterHarness h(GetParam());
+  populate(h, 40);
+  Bytes snap = h.master.snapshot();
+
+  MasterHarness other(GetParam());
+  other.master.handlers(other.item)
+      .emplace<MonitorHandler>(MonitorHandler::Condition::kAbove, 10.0);
+  other.master.restore(snap);
+  EXPECT_EQ(other.master.snapshot(), snap);
+  EXPECT_EQ(other.master.state_digest(), h.master.state_digest());
+  const EventStorage& a = h.master.storage();
+  const EventStorage& b = other.master.storage();
+  EXPECT_EQ(b.query_item(h.item), a.query_item(h.item));
+  EXPECT_EQ(b.query_severity(Severity::kInfo),
+            a.query_severity(Severity::kInfo));
+  EXPECT_EQ(b.query_range(millis(5), millis(30)),
+            a.query_range(millis(5), millis(30)));
+}
+
+TEST_P(MasterState, RestoreRejectsTruncatedEventAndTrailingByte) {
+  MasterHarness h(GetParam());
+  populate(h, 40);
+  Bytes snap = h.master.snapshot();
+  // The snapshot ends with the log, then the historian: end the buffer one
+  // byte before the last event does.
+  Writer historian;
+  h.master.historian().encode(historian);
+  std::size_t log_end = snap.size() - historian.size();
+  Bytes truncated(snap.begin(),
+                  snap.begin() + static_cast<std::ptrdiff_t>(log_end) - 1);
+
+  MasterHarness other(GetParam());
+  other.master.handlers(other.item)
+      .emplace<MonitorHandler>(MonitorHandler::Condition::kAbove, 10.0);
+  EXPECT_THROW(other.master.restore(truncated), DecodeError);
+  Bytes trailing = snap;
+  trailing.push_back(0);
+  EXPECT_THROW(other.master.restore(trailing), DecodeError);
+}
+
+INSTANTIATE_TEST_SUITE_P(Retention, MasterState, ::testing::Values(0u, 4u));
 
 TEST(Master, DeterministicTimestampsVsLocalClock) {
   // Two baseline masters with skewed clocks diverge on event timestamps —

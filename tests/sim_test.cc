@@ -1,5 +1,5 @@
 // Unit tests for src/sim: event loop determinism, timers, network delivery
-// and fault injection, service-lane queueing.
+// and fault injection, service-lane queueing on the simulated backend.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,12 +9,12 @@
 
 #include "core/replicated_deployment.h"
 #include "core/runner.h"
+#include "net/lanes.h"
 #include "obs/trace.h"
 #include "scada/messages.h"
 #include "scada/variant.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
-#include "sim/service_lane.h"
 
 namespace ss::sim {
 namespace {
@@ -236,9 +236,13 @@ TEST(Network, ExtraDelayAndJitter) {
   EXPECT_EQ(delivered_at, micros(10) + millis(5));
 }
 
-TEST(ServiceLanes, SingleLaneSerializes) {
+// net::Lanes over the simulated backend: completions land at the exact
+// virtual times the service-lane model predicts.
+
+TEST(Lanes, SingleLaneSerializes) {
   EventLoop loop;
-  ServiceLanes lanes(loop, 1);
+  Network net(loop, 0, 0);
+  net::Lanes lanes(net, 1);
   std::vector<SimTime> completions;
   for (int i = 0; i < 3; ++i) {
     lanes.submit(millis(10), [&] { completions.push_back(loop.now()); });
@@ -250,9 +254,10 @@ TEST(ServiceLanes, SingleLaneSerializes) {
   EXPECT_EQ(completions[2], millis(30));
 }
 
-TEST(ServiceLanes, MultiLaneRunsInParallel) {
+TEST(Lanes, MultiLaneRunsInParallel) {
   EventLoop loop;
-  ServiceLanes lanes(loop, 4);
+  Network net(loop, 0, 0);
+  net::Lanes lanes(net, 4);
   std::vector<SimTime> completions;
   for (int i = 0; i < 4; ++i) {
     lanes.submit(millis(10), [&] { completions.push_back(loop.now()); });
@@ -262,9 +267,10 @@ TEST(ServiceLanes, MultiLaneRunsInParallel) {
   for (SimTime t : completions) EXPECT_EQ(t, millis(10));
 }
 
-TEST(ServiceLanes, QueueingAfterSaturation) {
+TEST(Lanes, QueueingAfterSaturation) {
   EventLoop loop;
-  ServiceLanes lanes(loop, 2);
+  Network net(loop, 0, 0);
+  net::Lanes lanes(net, 2);
   std::vector<SimTime> completions;
   for (int i = 0; i < 4; ++i) {
     lanes.submit(millis(10), [&] { completions.push_back(loop.now()); });
@@ -279,9 +285,10 @@ TEST(ServiceLanes, QueueingAfterSaturation) {
   EXPECT_EQ(lanes.jobs(), 4u);
 }
 
-TEST(ServiceLanes, ZeroCostCompletesImmediately) {
+TEST(Lanes, ZeroCostCompletesImmediately) {
   EventLoop loop;
-  ServiceLanes lanes(loop, 1);
+  Network net(loop, 0, 0);
+  net::Lanes lanes(net, 1);
   bool done = false;
   lanes.submit(0, [&] { done = true; });
   loop.run();
