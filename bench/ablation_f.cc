@@ -10,35 +10,24 @@
 //  * sim (default): the deterministic in-process ReplicatedDeployment in
 //    virtual time — CI-stable numbers.
 //  * socket (--socket, or default when SS_ABLATION_SOCKET=1): forks the
-//    `deploy` binary's replica role n times with SS_PROTOCOL exported and
-//    drives synchronous HMI writes over real UDP — the same processes the
-//    paper's testbed ran, so protocol message-count differences (4 vs 3
-//    replicas at f=1) show up as wall-clock write rates.
+//    `deploy` binary's replica role n times with SS_PROTOCOL exported
+//    (bench/socket_harness.h) and drives synchronous HMI writes over real
+//    UDP — the same processes the paper's testbed ran, so protocol
+//    message-count differences (4 vs 3 replicas at f=1) show up as
+//    wall-clock write rates.
 //
 // Emits BENCH_ablation_f.json with one record per (backend, protocol, f,
 // metric).
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "core/nodes.h"
-#include "core/proxies.h"
-#include "core/scada_link.h"
-#include "crypto/keychain.h"
-#include "net/resolver.h"
-#include "net/socket_transport.h"
-#include "scada/frontend.h"
-#include "scada/hmi.h"
+#include "bench/socket_harness.h"
 
 namespace ss::bench {
 namespace {
@@ -48,12 +37,6 @@ constexpr SimTime kMeasure = seconds(10);
 /// Socket mode runs in wall-clock time; keep it short enough for CI.
 constexpr SimTime kSocketWarmup = seconds(1);
 constexpr SimTime kSocketMeasure = seconds(3);
-
-// Must match the registration order in examples/deploy.cpp.
-constexpr ItemId kSetpoint{2};
-const char* kTemperatureName = "plant/reactor/temperature";
-const char* kSetpointName = "plant/reactor/setpoint";
-const char* kGroupSecret = "smart-scada-secret";
 
 core::ReplicatedOptions make_options(Protocol protocol, std::uint32_t f) {
   core::ReplicatedOptions options;
@@ -113,203 +96,52 @@ Result run_sim(Protocol protocol, std::uint32_t f) {
 }
 
 // ---------------------------------------------------------------------------
-// Socket mode: fork `deploy replica` processes (SS_PROTOCOL exported, so the
-// children and the generated config agree on the group) and drive
-// synchronous HMI writes over real UDP.
+// Socket mode: synchronous HMI writes over real UDP against a `deploy
+// replica` group.
 
-std::string locate_deploy() {
-  if (const char* env = std::getenv("SS_DEPLOY")) return env;
-  char buf[4096];
-  ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    std::string dir(buf);
-    std::size_t slash = dir.rfind('/');
-    if (slash != std::string::npos) dir.resize(slash);
-    for (const std::string& cand :
-         {dir + "/../examples/deploy", dir + "/deploy"}) {
-      if (::access(cand.c_str(), X_OK) == 0) return cand;
-    }
-  }
-  return "deploy";
+/// Synchronous closed-loop writes for `duration`; returns writes/s.
+double measure_writes(SocketHarness& harness, SimTime warmup,
+                      SimTime duration) {
+  net::SocketTransport& transport = harness.transport();
+  std::uint64_t completed = 0;
+  bool stop = false;
+  double value = 0;
+  std::function<void()> issue = [&] {
+    if (stop) return;
+    harness.hmi().write(kSetpoint, scada::Variant{value},
+                        [&](const scada::WriteResult&) {
+                          ++completed;
+                          value += 1.0;
+                          issue();
+                        });
+  };
+  issue();
+  transport.run_until([] { return false; }, warmup);
+  std::uint64_t before = completed;
+  transport.run_until([] { return false; }, duration);
+  std::uint64_t after = completed;
+  stop = true;
+  // Let the in-flight write drain before tearing the callbacks down.
+  transport.run_until([] { return false; }, millis(200));
+  return static_cast<double>(after - before) /
+         (static_cast<double>(duration) / kNanosPerSec);
 }
-
-class SocketGroup {
- public:
-  SocketGroup(Protocol protocol, std::uint32_t f, std::uint16_t base_port)
-      : group_(GroupConfig::for_protocol(protocol, f)) {
-    // The spawned replicas and `deploy config` both derive the group from
-    // SS_PROTOCOL; export it so every process agrees on n and the quorums.
-    ::setenv("SS_PROTOCOL", protocol_name(protocol), 1);
-    deploy_ = locate_deploy();
-    write_config(f, base_port);
-    for (std::uint32_t i = 0; i < group_.n; ++i) {
-      replicas_.push_back(spawn_replica(i, f));
-    }
-    ::usleep(300 * 1000);  // let the replicas bind
-
-    transport_ = std::make_unique<net::SocketTransport>(
-        net::Resolver::from_file(config_), net::socket_options_from_env());
-    keys_ = std::make_unique<crypto::Keychain>(kGroupSecret);
-    hmi_ = std::make_unique<scada::Hmi>(
-        scada::HmiOptions{.subscriber_name = core::kHmiEndpoint});
-    core::ProxyOptions proxy_options;
-    proxy_options.endpoint = core::kProxyHmiEndpoint;
-    proxy_options.component_endpoint = core::kHmiEndpoint;
-    proxy_ = std::make_unique<core::ComponentProxy>(
-        *transport_, group_, ClientId{core::kProxyHmiClient}, *keys_,
-        proxy_options);
-    node_ = std::make_unique<core::HmiNode>(
-        *transport_, *keys_, *hmi_,
-        core::NodeOptions{.endpoint = core::kHmiEndpoint,
-                          .peer = core::kProxyHmiEndpoint});
-
-    // The Frontend core must be present for writes to complete: the masters
-    // forward each WriteValue to the field, and with no RTU driver attached
-    // the frontend applies it locally and acks — the same shape
-    // bench/load_openloop measures.
-    frontend_ = std::make_unique<scada::Frontend>(
-        scada::FrontendOptions{.instance_id = 1});
-    frontend_->add_item(kTemperatureName);
-    frontend_->add_item(kSetpointName, scada::Variant{20.0});
-    core::ProxyOptions fe_proxy_options;
-    fe_proxy_options.endpoint = core::kProxyFrontendEndpoint;
-    fe_proxy_options.component_endpoint = core::kFrontendEndpoint;
-    frontend_proxy_ = std::make_unique<core::ComponentProxy>(
-        *transport_, group_, ClientId{core::kProxyFrontendClient}, *keys_,
-        fe_proxy_options);
-    frontend_node_ = std::make_unique<core::FrontendNode>(
-        *transport_, *keys_, *frontend_,
-        core::NodeOptions{.endpoint = core::kFrontendEndpoint,
-                          .peer = core::kProxyFrontendEndpoint});
-  }
-
-  ~SocketGroup() {
-    frontend_node_.reset();
-    frontend_proxy_.reset();
-    node_.reset();
-    proxy_.reset();
-    transport_.reset();
-    for (pid_t pid : replicas_) {
-      if (pid > 0) ::kill(pid, SIGTERM);
-    }
-    for (pid_t pid : replicas_) {
-      if (pid > 0) ::waitpid(pid, nullptr, 0);
-    }
-    if (!config_.empty()) ::unlink(config_.c_str());
-  }
-
-  /// One successful write proves the group is live; retry until deadline.
-  bool warm_up() {
-    hmi_->subscribe_all();
-    SimTime deadline = transport_->now() + seconds(30);
-    while (transport_->now() < deadline) {
-      bool done = false;
-      bool ok = false;
-      hmi_->write(kSetpoint, scada::Variant{20.0},
-                  [&](const scada::WriteResult& r) {
-                    done = true;
-                    ok = r.status == scada::WriteStatus::kOk;
-                  });
-      transport_->run_until([&] { return done; }, seconds(2));
-      if (done && ok) return true;
-    }
-    return false;
-  }
-
-  /// Synchronous closed-loop writes for `duration`; returns writes/s.
-  double measure_writes(SimTime warmup, SimTime duration) {
-    std::uint64_t completed = 0;
-    bool stop = false;
-    double value = 0;
-    std::function<void()> issue = [&] {
-      if (stop) return;
-      hmi_->write(kSetpoint, scada::Variant{value},
-                  [&](const scada::WriteResult&) {
-                    ++completed;
-                    value += 1.0;
-                    issue();
-                  });
-    };
-    issue();
-    transport_->run_until([] { return false; }, warmup);
-    std::uint64_t before = completed;
-    transport_->run_until([] { return false; }, duration);
-    std::uint64_t after = completed;
-    stop = true;
-    // Let the in-flight write drain before tearing the callbacks down.
-    transport_->run_until([] { return false; }, millis(200));
-    return static_cast<double>(after - before) /
-           (static_cast<double>(duration) / kNanosPerSec);
-  }
-
- private:
-  void write_config(std::uint32_t f, std::uint16_t base_port) {
-    config_ = "/tmp/smart-scada-ablation-" + std::to_string(::getpid()) +
-              "-" + std::to_string(base_port) + ".conf";
-    std::string cmd = deploy_ + " config --f " + std::to_string(f) +
-                      " --base-port " + std::to_string(base_port);
-    std::FILE* pipe = ::popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-      throw std::runtime_error("ablation_f: cannot run: " + cmd);
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-      text.append(buf, n);
-    }
-    int rc = ::pclose(pipe);
-    if (rc != 0 || text.empty()) {
-      throw std::runtime_error("ablation_f: `" + cmd +
-                               "` failed; set SS_DEPLOY");
-    }
-    std::ofstream out(config_);
-    out << text;
-  }
-
-  pid_t spawn_replica(std::uint32_t i, std::uint32_t f) {
-    const std::string fs = std::to_string(f);
-    pid_t pid = ::fork();
-    if (pid == 0) {
-      std::string id = std::to_string(i);
-      const char* argv[] = {deploy_.c_str(), "replica",
-                            "--id",          id.c_str(),
-                            "--f",           fs.c_str(),
-                            "--config",      config_.c_str(),
-                            nullptr};
-      ::execv(deploy_.c_str(), const_cast<char**>(argv));
-      std::perror("execv deploy replica");
-      std::_Exit(127);
-    }
-    return pid;
-  }
-
-  GroupConfig group_;
-  std::string deploy_;
-  std::string config_;
-  std::vector<pid_t> replicas_;
-  std::unique_ptr<net::SocketTransport> transport_;
-  std::unique_ptr<crypto::Keychain> keys_;
-  std::unique_ptr<scada::Hmi> hmi_;
-  std::unique_ptr<core::ComponentProxy> proxy_;
-  std::unique_ptr<core::HmiNode> node_;
-  std::unique_ptr<scada::Frontend> frontend_;
-  std::unique_ptr<core::ComponentProxy> frontend_proxy_;
-  std::unique_ptr<core::FrontendNode> frontend_node_;
-};
 
 double run_socket(Protocol protocol, std::uint32_t f,
                   std::uint16_t base_port) {
+  // The harness, `deploy config` and the spawned replicas all derive the
+  // group from SS_PROTOCOL; export it so every process agrees on n and the
+  // quorums.
+  ::setenv("SS_PROTOCOL", protocol_name(protocol), 1);
   try {
-    SocketGroup group(protocol, f, base_port);
-    if (!group.warm_up()) {
+    SocketHarness harness(f, base_port);
+    if (!harness.warm_up()) {
       std::fprintf(stderr,
                    "ablation_f: %s f=%u replica group never became live\n",
                    protocol_name(protocol), f);
       return 0.0;
     }
-    return group.measure_writes(kSocketWarmup, kSocketMeasure);
+    return measure_writes(harness, kSocketWarmup, kSocketMeasure);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ablation_f: socket %s f=%u: %s\n",
                  protocol_name(protocol), f, e.what());

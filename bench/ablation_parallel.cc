@@ -69,34 +69,6 @@ double run(double rate, std::uint32_t executor_lanes, int items) {
 // ---------------------------------------------------------------------------
 // Real-thread sweep: raw BFT over UDP loopback, one thread per replica.
 
-/// Null service (same shape as bft_raw): tiny ack, counter as state.
-class NullApp final : public bft::Executable, public bft::Recoverable {
- public:
-  Bytes execute_ordered(const bft::ExecuteContext&, ByteView) override {
-    ++executed_;
-    Writer w(1);
-    w.u8(1);
-    return std::move(w).take();
-  }
-  Bytes execute_unordered(ClientId, ByteView) override {
-    Writer w(1);
-    w.u8(1);
-    return std::move(w).take();
-  }
-  Bytes snapshot() const override {
-    Writer w(8);
-    w.varint(executed_);
-    return std::move(w).take();
-  }
-  void restore(ByteView data) override {
-    Reader r(data);
-    executed_ = r.varint();
-  }
-
- private:
-  std::uint64_t executed_ = 0;
-};
-
 struct SocketResult {
   double ops_per_sec = 0;
   std::vector<double> latencies_us;

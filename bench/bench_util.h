@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "bft/executable.h"
+#include "common/serialization.h"
 #include "core/baseline_deployment.h"
 #include "core/replicated_deployment.h"
 #include "obs/metrics.h"
@@ -88,6 +90,35 @@ inline void drive_open_loop(sim::EventLoop& loop, double rate_per_sec,
   loop.schedule(0, *step);
   loop.run_until(end + millis(1));
 }
+
+/// Null service for the raw-BFT benches (bft_raw, ablation_parallel): a
+/// one-byte ack per request, and the executed-request count as its state.
+class NullApp final : public bft::Executable, public bft::Recoverable {
+ public:
+  Bytes execute_ordered(const bft::ExecuteContext&, ByteView) override {
+    ++executed_;
+    return ack();
+  }
+  Bytes execute_unordered(ClientId, ByteView) override { return ack(); }
+  Bytes snapshot() const override {
+    Writer w(8);
+    w.varint(executed_);
+    return std::move(w).take();
+  }
+  void restore(ByteView data) override {
+    Reader r(data);
+    executed_ = r.varint();
+  }
+
+ private:
+  static Bytes ack() {
+    Writer w(1);
+    w.u8(1);
+    return std::move(w).take();
+  }
+
+  std::uint64_t executed_ = 0;
+};
 
 inline void print_header(const char* figure, const char* title) {
   std::printf("\n=== %s: %s ===\n", figure, title);

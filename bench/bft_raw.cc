@@ -19,35 +19,6 @@
 namespace ss::bench {
 namespace {
 
-/// Null service: returns a tiny ack, maintains a counter as state.
-class NullApp final : public bft::Executable, public bft::Recoverable {
- public:
-  Bytes execute_ordered(const bft::ExecuteContext&, ByteView) override {
-    ++executed_;
-    Writer w(1);
-    w.u8(1);
-    return std::move(w).take();
-  }
-  Bytes execute_unordered(ClientId, ByteView) override {
-    Writer w(1);
-    w.u8(1);
-    return std::move(w).take();
-  }
-  Bytes snapshot() const override {
-    Writer w(8);
-    w.varint(executed_);
-    return std::move(w).take();
-  }
-  void restore(ByteView data) override {
-    Reader r(data);
-    executed_ = r.varint();
-  }
-  std::uint64_t executed() const { return executed_; }
-
- private:
-  std::uint64_t executed_ = 0;
-};
-
 struct Result {
   double ops_per_sec = 0;
   std::vector<double> latencies_us;  ///< invoke -> reply, measure window

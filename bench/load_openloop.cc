@@ -10,10 +10,9 @@
 //
 // Two backends over the same Transport seam:
 //  * --mode socket (default): forks the `deploy` binary's replica role
-//    n = 3f+1 times and drives them over real UDP from an in-process
-//    SocketTransport. No RTU or separate frontend process is needed: the
-//    Frontend core lives here, and without a field writer its writes apply
-//    locally and succeed immediately — the measured path is the full
+//    (3f+1 processes, or 2f+1 under SS_PROTOCOL=minbft) and drives them
+//    over real UDP from an in-process SocketTransport through the shared
+//    bench/socket_harness.h — the measured path is the full
 //    HMI -> agreement -> frontend -> agreement -> voted-reply loop.
 //  * --mode sim: the deterministic in-process ReplicatedDeployment in
 //    virtual time (CI-stable numbers, no sockets).
@@ -32,49 +31,27 @@
 //   load_openloop --mode socket --op update --shape burst --rate 1000
 //       --clients 2000 --sweep 250,500,1000
 //   load_openloop --mode sim --op mixed --rate 800 --duration 10
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/proxies.h"
-#include "core/nodes.h"
+#include "bench/socket_harness.h"
 #include "core/replicated_deployment.h"
-#include "core/scada_link.h"
-#include "crypto/keychain.h"
 #include "load/driver.h"
 #include "load/report.h"
 #include "load/schedule.h"
-#include "net/resolver.h"
-#include "net/socket_transport.h"
 #include "obs/metrics.h"
-#include "scada/frontend.h"
 #include "scada/handlers.h"
-#include "scada/hmi.h"
 
 using namespace ss;
+using namespace ss::bench;
 
 namespace {
-
-// Must match the registration order in examples/deploy.cpp: item ids are
-// dense by registration order and agreed system-wide.
-constexpr ItemId kTemperature{1};
-constexpr ItemId kSetpoint{2};
-const char* kTemperatureName = "plant/reactor/temperature";
-const char* kSetpointName = "plant/reactor/setpoint";
-const char* kGroupSecret = "smart-scada-secret";
 
 struct Options {
   std::string mode = "socket";  // socket | sim
@@ -92,9 +69,6 @@ struct Options {
   /// >= 0: this percentage of updates trips the replicas' alarm Monitor
   /// (SS_ALARM_THRESHOLD) — the fig8b AE-subsystem storm over sockets.
   int alarm_pct = -1;
-  /// > 0 (socket mode): SIGKILL one replica round-robin every period and
-  /// respawn it 200 ms later — proactive recovery under load.
-  long proactive_period_ms = 0;
 };
 
 int usage();
@@ -150,11 +124,11 @@ int usage() {
       "         [--clients N] [--seed X] [--timeout MS] [--f N]\n"
       "         [--burst-mult M] [--burst-period-ms MS] [--burst-len-ms MS]\n"
       "         [--sweep R1,R2,...] [--sweep-burst M1,M2,...]\n"
-      "         [--alarm-pct P] [--proactive-period MS]\n"
-      "         [--base-port P] [--deploy PATH]\n"
+      "         [--alarm-pct P] [--base-port P] [--deploy PATH]\n"
       "         [--out DIR] [--bench NAME] [--name NAME]\n"
-      "env:   SS_RX_BATCH / SS_BUSY_POLL are honored by this process and\n"
-      "       inherited by the spawned replicas (socket mode)\n");
+      "env:   SS_PROTOCOL=pbft|minbft picks the replica group (socket mode);\n"
+      "       SS_RX_BATCH is honored by this process and inherited by the\n"
+      "       spawned replicas\n");
   return 2;
 }
 
@@ -237,293 +211,47 @@ void attach_rx_extras(load::RunRecord& record, const net::SocketStats& before,
 }
 
 // ---------------------------------------------------------------------------
-// Socket mode: fork `deploy replica` processes, drive them over real UDP.
+// Socket mode: the `deploy replica` group of bench/socket_harness.h, driven
+// over real UDP in wall-clock time.
 
-std::string locate_deploy(const std::string& override_path) {
-  if (!override_path.empty()) return override_path;
-  if (const char* env = std::getenv("SS_DEPLOY")) return env;
-  char buf[4096];
-  ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    std::string dir(buf);
-    std::size_t slash = dir.rfind('/');
-    if (slash != std::string::npos) dir.resize(slash);
-    for (const std::string& cand :
-         {dir + "/../examples/deploy", dir + "/deploy"}) {
-      if (::access(cand.c_str(), X_OK) == 0) return cand;
-    }
-  }
-  return "deploy";  // hope it is on PATH
+/// One measured run; `run_index` (1-based) keeps the pushed update values
+/// of successive runs in one process apart.
+load::RunRecord run_socket(SocketHarness& harness, const Options& opt,
+                           std::uint64_t run_index, const std::string& name,
+                           const load::ScheduleOptions& schedule_opt) {
+  net::SocketTransport& transport = harness.transport();
+  Workload workload;
+  workload.op = opt.op;
+  workload.alarm_pct = opt.alarm_pct;
+  workload.hmi = &harness.hmi();
+  workload.frontend = &harness.frontend();
+  workload.update_base = static_cast<double>(run_index) * 1e9;
+
+  std::vector<load::Arrival> schedule = load::generate_schedule(schedule_opt);
+  workload.update_done.resize(schedule.size());
+  harness.hmi().set_update_callback(
+      [&workload](const scada::ItemUpdate& u) { workload.on_update(u); });
+
+  net::SocketStats before = transport.stats();
+  load::DriverOptions driver_opt;
+  driver_opt.op_timeout = opt.op_timeout;
+  load::OpenLoopDriver driver(
+      transport, std::move(schedule),
+      [&workload](const load::Arrival& a,
+                  load::OpenLoopDriver::CompletionFn done) {
+        workload.issue(a, std::move(done));
+      },
+      driver_opt);
+  driver.start();
+  transport.run_until([&] { return driver.finished(); },
+                      schedule_opt.duration + opt.op_timeout + seconds(5));
+
+  load::RunRecord record =
+      load::RunRecord::from_driver(name, opt.op, schedule_opt, driver);
+  attach_rx_extras(record, before, transport.stats());
+  harness.hmi().set_update_callback({});
+  return record;
 }
-
-class SocketHarness {
- public:
-  SocketHarness(const Options& opt) : opt_(opt) {
-    deploy_ = locate_deploy(opt.deploy);
-    base_port_ = opt.base_port != 0
-                     ? opt.base_port
-                     : static_cast<std::uint16_t>(
-                           41000 + (::getpid() % 8000) * 2);
-    group_ = GroupConfig::for_f(opt.f);
-    if (opt_.alarm_pct >= 0) {
-      // The spawned replicas attach a Monitor to the temperature point so
-      // the 'update' workload exercises the AE subsystem (fig8b).
-      ::setenv("SS_ALARM_THRESHOLD", "100", /*overwrite=*/0);
-    }
-    if (opt_.proactive_period_ms > 0 &&
-        std::getenv("SS_STATE_DIR") == nullptr) {
-      // Proactive reincarnation is only meaningful with durable state: the
-      // killed replica must reboot from its checkpoint + WAL, not from
-      // scratch. Give the group a throwaway state root if none was set;
-      // the destructor removes it.
-      char tmpl[] = "/tmp/smart-scada-load-state-XXXXXX";
-      if (::mkdtemp(tmpl) != nullptr) {
-        state_root_ = tmpl;
-        ::setenv("SS_STATE_DIR", tmpl, 1);
-        ::setenv("SS_CHECKPOINT_INTERVAL", "16", /*overwrite=*/0);
-      }
-    }
-    write_config();
-    spawn_replicas();
-    ::usleep(300 * 1000);  // let the replicas bind before we start asking
-
-    transport_ = std::make_unique<net::SocketTransport>(
-        net::Resolver::from_file(config_), net::socket_options_from_env());
-    keys_ = std::make_unique<crypto::Keychain>(kGroupSecret);
-
-    // HMI side (the operator): Hmi core + ProxyHMI, exactly as `deploy hmi`.
-    hmi_ = std::make_unique<scada::Hmi>(
-        scada::HmiOptions{.subscriber_name = core::kHmiEndpoint});
-    core::ProxyOptions hmi_proxy_options;
-    hmi_proxy_options.endpoint = core::kProxyHmiEndpoint;
-    hmi_proxy_options.component_endpoint = core::kHmiEndpoint;
-    hmi_proxy_ = std::make_unique<core::ComponentProxy>(
-        *transport_, group_, ClientId{core::kProxyHmiClient}, *keys_,
-        hmi_proxy_options);
-    hmi_node_ = std::make_unique<core::HmiNode>(
-        *transport_, *keys_, *hmi_,
-        core::NodeOptions{.endpoint = core::kHmiEndpoint,
-                          .peer = core::kProxyHmiEndpoint});
-
-    // Frontend side (the field): Frontend core + ProxyFrontend, as `deploy
-    // frontend` but with no RTU driver — writes succeed locally, which is
-    // what a load harness wants (the field bus is not the system under
-    // test).
-    frontend_ = std::make_unique<scada::Frontend>(
-        scada::FrontendOptions{.instance_id = 1});
-    frontend_->add_item(kTemperatureName);
-    frontend_->add_item(kSetpointName, scada::Variant{20.0});
-    core::ProxyOptions fe_proxy_options;
-    fe_proxy_options.endpoint = core::kProxyFrontendEndpoint;
-    fe_proxy_options.component_endpoint = core::kFrontendEndpoint;
-    frontend_proxy_ = std::make_unique<core::ComponentProxy>(
-        *transport_, group_, ClientId{core::kProxyFrontendClient}, *keys_,
-        fe_proxy_options);
-    frontend_node_ = std::make_unique<core::FrontendNode>(
-        *transport_, *keys_, *frontend_,
-        core::NodeOptions{.endpoint = core::kFrontendEndpoint,
-                          .peer = core::kProxyFrontendEndpoint});
-  }
-
-  ~SocketHarness() {
-    // Tear down the transport (and everything attached to it) before the
-    // replicas go away, then reap the children.
-    frontend_node_.reset();
-    frontend_proxy_.reset();
-    hmi_node_.reset();
-    hmi_proxy_.reset();
-    transport_.reset();
-    for (pid_t pid : replicas_) {
-      if (pid > 0) ::kill(pid, SIGTERM);
-    }
-    for (pid_t pid : replicas_) {
-      if (pid > 0) ::waitpid(pid, nullptr, 0);
-    }
-    if (!config_.empty()) ::unlink(config_.c_str());
-    if (!state_root_.empty()) {
-      // Every replica's WAL, checkpoint, key epoch and USIG counter.
-      std::error_code ec;
-      std::filesystem::remove_all(state_root_, ec);
-    }
-  }
-
-  /// Subscribes the HMI and proves both op paths end-to-end (one write,
-  /// one field update) before any measurement. Returns false if the group
-  /// never becomes live.
-  bool warm_up() {
-    hmi_->subscribe_all();
-    SimTime deadline = transport_->now() + seconds(30);
-    while (transport_->now() < deadline) {
-      bool write_done = false;
-      bool write_ok = false;
-      hmi_->write(kSetpoint, scada::Variant{20.0},
-                  [&](const scada::WriteResult& r) {
-                    write_done = true;
-                    write_ok = r.status == scada::WriteStatus::kOk;
-                  });
-      frontend_->field_update(kTemperature, scada::Variant{-1.0});
-      transport_->run_until(
-          [&] { return write_done && hmi_->item(kTemperature) != nullptr; },
-          seconds(2));
-      if (write_done && write_ok && hmi_->item(kTemperature) != nullptr) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  load::RunRecord run(const std::string& name,
-                      const load::ScheduleOptions& schedule_opt) {
-    Workload workload;
-    workload.op = opt_.op;
-    workload.alarm_pct = opt_.alarm_pct;
-    workload.hmi = hmi_.get();
-    workload.frontend = frontend_.get();
-    workload.update_base = static_cast<double>(++run_counter_) * 1e9;
-
-    std::vector<load::Arrival> schedule = load::generate_schedule(schedule_opt);
-    workload.update_done.resize(schedule.size());
-    hmi_->set_update_callback(
-        [&workload](const scada::ItemUpdate& u) { workload.on_update(u); });
-
-    net::SocketStats before = transport_->stats();
-    std::uint64_t reinc_before = reincarnations_;
-    load::DriverOptions driver_opt;
-    driver_opt.op_timeout = opt_.op_timeout;
-    load::OpenLoopDriver driver(
-        *transport_, std::move(schedule),
-        [&workload](const load::Arrival& a,
-                    load::OpenLoopDriver::CompletionFn done) {
-          workload.issue(a, std::move(done));
-        },
-        driver_opt);
-    driver.start();
-    SimTime deadline = transport_->now() + schedule_opt.duration +
-                       opt_.op_timeout + seconds(5);
-    if (opt_.proactive_period_ms > 0 && next_kill_at_ == 0) {
-      next_kill_at_ = transport_->now() + millis(opt_.proactive_period_ms);
-    }
-    while (!driver.finished() && transport_->now() < deadline) {
-      transport_->run_until([&] { return driver.finished(); }, millis(50));
-      maybe_reincarnate();
-    }
-
-    load::RunRecord record =
-        load::RunRecord::from_driver(name, opt_.op, schedule_opt, driver);
-    attach_rx_extras(record, before, transport_->stats());
-    if (opt_.proactive_period_ms > 0) {
-      record.extras.emplace_back(
-          "proactive_reincarnations",
-          static_cast<double>(reincarnations_ - reinc_before));
-    }
-    hmi_->set_update_callback({});
-    return record;
-  }
-
-  std::uint64_t reincarnations() const { return reincarnations_; }
-
- private:
-  void write_config() {
-    config_ = "/tmp/smart-scada-load-" + std::to_string(::getpid()) + ".conf";
-    std::string cmd = deploy_ + " config --f " + std::to_string(opt_.f) +
-                      " --base-port " + std::to_string(base_port_);
-    std::FILE* pipe = ::popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-      throw std::runtime_error("load_openloop: cannot run: " + cmd);
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-      text.append(buf, n);
-    }
-    int rc = ::pclose(pipe);
-    if (rc != 0 || text.empty()) {
-      throw std::runtime_error("load_openloop: `" + cmd +
-                               "` failed; pass --deploy PATH");
-    }
-    std::ofstream out(config_);
-    out << text;
-  }
-
-  pid_t spawn_replica(std::uint32_t i) {
-    const std::string fs = std::to_string(opt_.f);
-    pid_t pid = ::fork();
-    if (pid == 0) {
-      std::string id = std::to_string(i);
-      const char* argv[] = {deploy_.c_str(), "replica",
-                            "--id",          id.c_str(),
-                            "--f",           fs.c_str(),
-                            "--config",      config_.c_str(),
-                            nullptr};
-      ::execv(deploy_.c_str(), const_cast<char**>(argv));
-      std::perror("execv deploy replica");
-      std::_Exit(127);
-    }
-    return pid;
-  }
-
-  void spawn_replicas() {
-    for (std::uint32_t i = 0; i < group_.n; ++i) {
-      replicas_.push_back(spawn_replica(i));
-    }
-  }
-
-  /// Proactive recovery under load (--proactive-period): SIGKILL one replica
-  /// round-robin per period and respawn it 200 ms later. With SS_STATE_DIR
-  /// set the restarted process reboots from its checkpoint + WAL and rejoins
-  /// on a fresh session-key epoch — the same policy `deploy --supervise`
-  /// runs with SS_PROACTIVE_PERIOD.
-  void maybe_reincarnate() {
-    if (opt_.proactive_period_ms <= 0) return;
-    SimTime now = transport_->now();
-    if (respawn_at_ != 0 && now >= respawn_at_) {
-      replicas_.at(victim_) = spawn_replica(victim_);
-      respawn_at_ = 0;
-      ++reincarnations_;
-      std::fprintf(stderr,
-                   "load_openloop: proactive reincarnation #%llu of "
-                   "replica/%u\n",
-                   static_cast<unsigned long long>(reincarnations_), victim_);
-    }
-    if (respawn_at_ == 0 && next_kill_at_ != 0 && now >= next_kill_at_) {
-      victim_ = next_victim_;
-      next_victim_ = (next_victim_ + 1) % group_.n;
-      if (replicas_.at(victim_) > 0) {
-        ::kill(replicas_.at(victim_), SIGKILL);
-        ::waitpid(replicas_.at(victim_), nullptr, 0);
-      }
-      respawn_at_ = now + millis(200);
-      next_kill_at_ = now + millis(opt_.proactive_period_ms);
-    }
-  }
-
-  Options opt_;
-  std::string deploy_;
-  std::string config_;
-  std::string state_root_;  ///< set when this harness made the state root
-  std::uint16_t base_port_ = 0;
-  GroupConfig group_ = GroupConfig::for_f(1);
-  std::vector<pid_t> replicas_;
-  std::uint64_t run_counter_ = 0;
-
-  // --proactive-period bookkeeping.
-  std::uint32_t next_victim_ = 0;
-  std::uint32_t victim_ = 0;
-  SimTime next_kill_at_ = 0;   ///< 0 until the first run arms the timer
-  SimTime respawn_at_ = 0;     ///< nonzero while a victim is down
-  std::uint64_t reincarnations_ = 0;
-
-  std::unique_ptr<net::SocketTransport> transport_;
-  std::unique_ptr<crypto::Keychain> keys_;
-  std::unique_ptr<scada::Hmi> hmi_;
-  std::unique_ptr<core::ComponentProxy> hmi_proxy_;
-  std::unique_ptr<core::HmiNode> hmi_node_;
-  std::unique_ptr<scada::Frontend> frontend_;
-  std::unique_ptr<core::ComponentProxy> frontend_proxy_;
-  std::unique_ptr<core::FrontendNode> frontend_node_;
-};
 
 // ---------------------------------------------------------------------------
 // Sim mode: the deterministic in-process deployment, virtual time.
@@ -635,8 +363,6 @@ int main(int argc, char** argv) {
       opt.sweep_burst = parse_list(v);
     } else if (flag == "--alarm-pct") {
       opt.alarm_pct = static_cast<int>(parse_long(v));
-    } else if (flag == "--proactive-period") {
-      opt.proactive_period_ms = parse_long(v);
     } else {
       return usage();
     }
@@ -679,17 +405,27 @@ int main(int argc, char** argv) {
   try {
     std::unique_ptr<SocketHarness> harness;
     if (opt.mode == "socket") {
-      harness = std::make_unique<SocketHarness>(opt);
+      if (opt.alarm_pct >= 0) {
+        // The spawned replicas attach a Monitor to the temperature point so
+        // the 'update' workload exercises the AE subsystem (fig8b).
+        ::setenv("SS_ALARM_THRESHOLD", "100", /*overwrite=*/0);
+      }
+      harness =
+          std::make_unique<SocketHarness>(opt.f, opt.base_port, opt.deploy);
       if (!harness->warm_up()) {
         std::fprintf(stderr,
                      "load_openloop: replica group never became live\n");
         return 1;
       }
     }
+    std::uint64_t run_index = 0;
     for (const Planned& planned : runs) {
+      ++run_index;
       load::RunRecord record =
-          opt.mode == "socket" ? harness->run(planned.name, planned.schedule)
-                               : run_sim(opt, planned.name, planned.schedule);
+          opt.mode == "socket"
+              ? run_socket(*harness, opt, run_index, planned.name,
+                           planned.schedule)
+              : run_sim(opt, planned.name, planned.schedule);
       load::LoadReport::print(record);
       if (record.stats.ok == 0) any_zero = true;
       report.add(std::move(record));

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   chaos::ScriptParams params;
   params.group = GroupConfig::for_protocol(options.protocol, options.f);
-  params.horizon = options.horizon;
+  params.horizon = chaos::kChaosHorizon;
   chaos::FaultScript script =
       chaos::generate_script(options.family, params, options.seed);
   if (have_keep) {

@@ -54,12 +54,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -226,6 +228,12 @@ void setup_observability(net::SocketTransport& transport,
 /// consecutive localhost ports.
 net::Resolver make_resolver(std::uint32_t n, const std::string& host,
                             std::uint16_t base) {
+  // Three ports per replica plus eight for the clients, all above `base`.
+  if (base + 3 * n + 8 > 65536) {
+    throw std::runtime_error("base port " + std::to_string(base) +
+                             " leaves no room for " + std::to_string(n) +
+                             " replicas");
+  }
   net::Resolver r;
   std::uint16_t port = base;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -815,8 +823,7 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
     std::uint32_t proactive_next = 0;
     std::uint32_t reincarnations = 0;
     long elapsed_ms = 0;
-    bool kill_fired = sup.kill_replica < 0 ||
-                      sup.kill_replica >= static_cast<int>(group.n);
+    bool kill_fired = sup.kill_replica < 0;
     bool hmi_done = false;
     while (!hmi_done) {
       ::usleep(50 * 1000);
@@ -1019,15 +1026,25 @@ int usage() {
       "                                     (durable reboot + fresh key epoch)\n"
       "       SS_ALARM_THRESHOLD=<v>        attach a Monitor (alarm above v)\n"
       "                                     to the temperature point\n"
-      "       SS_RUNNER=inline|pooled:N|spin:N\n"
-      "                                     replica crypto/codec runner: N\n"
+      "       SS_RUNNER=inline|pooled:N     replica crypto/codec runner: N\n"
       "                                     worker threads for HMAC + codec\n"
       "                                     (default inline, single-threaded)\n"
       "       SS_RX_BATCH=<n>               datagrams per recvmmsg call\n"
-      "                                     (default 32; 1 = plain recvfrom)\n"
-      "       SS_BUSY_POLL=<us>             spin this long before blocking\n"
-      "                                     in poll (default 0 = off)\n");
+      "                                     (default 32; 1 = recvfrom)\n");
   return 2;
+}
+
+/// `v` as a base-10 integer in [lo, hi]. Anything else (empty, trailing
+/// junk, overflow, out of range) exits through usage(): a malformed numeric
+/// flag is a usage error, never a silent 0 or a wrapped value.
+long parse_int(const char* v, long lo, long hi) {
+  char* end = nullptr;
+  errno = 0;
+  long n = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n < lo || n > hi) {
+    std::exit(usage());
+  }
+  return n;
 }
 
 }  // namespace
@@ -1059,24 +1076,24 @@ int main(int argc, char** argv) {
     }
     if (i + 1 >= argc) return usage();
     const char* value = argv[++i];
+    // Replica ids and --kill-replica are checked against the group size
+    // below, once SS_PROTOCOL has fixed n.
     if (flag == "--f") {
-      f = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      f = static_cast<std::uint32_t>(parse_int(value, 1, 64));
     } else if (flag == "--id") {
-      id = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      id = static_cast<std::uint32_t>(parse_int(value, 0, 65535));
     } else if (flag == "--base-port") {
-      base_port =
-          static_cast<std::uint16_t>(std::strtoul(value, nullptr, 10));
+      base_port = static_cast<std::uint16_t>(parse_int(value, 1, 65535));
     } else if (flag == "--config") {
       config = value;
     } else if (flag == "--kill-replica") {
-      sup.kill_replica = static_cast<int>(std::strtol(value, nullptr, 10));
+      sup.kill_replica = static_cast<int>(parse_int(value, 0, 65535));
     } else if (flag == "--kill-after") {
-      sup.kill_after_ms = std::strtol(value, nullptr, 10);
+      sup.kill_after_ms = parse_int(value, 0, 86'400'000);
     } else if (flag == "--rounds") {
-      sup.rounds =
-          static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      sup.rounds = static_cast<std::uint32_t>(parse_int(value, 0, 1'000'000));
     } else if (flag == "--campaign") {
-      sup.campaign_secs = std::strtol(value, nullptr, 10);
+      sup.campaign_secs = parse_int(value, 0, 86'400);
     } else {
       return usage();
     }
@@ -1092,9 +1109,13 @@ int main(int argc, char** argv) {
   }
 
   try {
+    const GroupConfig group = group_from_env(f);
+    if (id >= group.n || sup.kill_replica >= static_cast<int>(group.n)) {
+      return usage();
+    }
     if (role == "local") return run_local(argv[0], f, base_port, sup);
     if (role == "config") {
-      std::fputs(make_resolver(group_from_env(f).n, "127.0.0.1",
+      std::fputs(make_resolver(group.n, "127.0.0.1",
                                base_port ? base_port : 47000)
                      .to_text()
                      .c_str(),
@@ -1102,7 +1123,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (config.empty()) return usage();
-    const GroupConfig group = group_from_env(f);
     if (role == "replica") return run_replica(config, group, id);
     if (role == "frontend") return run_frontend(config, group);
     if (role == "hmi") return run_hmi(config, group, sup.rounds);

@@ -22,6 +22,7 @@ namespace {
 constexpr SimTime kWarmup = millis(300);
 constexpr SimTime kDrain = millis(1500);
 constexpr SimTime kQuiesce = seconds(2);
+constexpr SimTime kWritePeriod = millis(200);  ///< operator write cadence
 /// Phase-audit bound on the correct live replicas' decide-frontier spread:
 /// generous against in-flight catch-up (state transfer triggers at gap 64),
 /// tight enough that a replica silently left behind for a whole phase fails.
@@ -102,12 +103,12 @@ class CampaignRun {
         checker_.add_violation(
             "recovery-time",
             "no client-visible completion after the last heal point");
-      } else if (worst_recovery_ > opt_.recovery_bound) {
+      } else if (worst_recovery_ > kRecoveryBound) {
         checker_.add_violation(
             "recovery-time",
             "slowest post-heal recovery " +
                 std::to_string(worst_recovery_ / millis(1)) + "ms exceeds " +
-                std::to_string(opt_.recovery_bound / millis(1)) + "ms bound");
+                std::to_string(kRecoveryBound / millis(1)) + "ms bound");
       }
       // Campaigns always run durable: align checkpoints at the quiesced
       // frontier so rejoined replicas' durable state is judged too.
@@ -238,7 +239,7 @@ class CampaignRun {
   }
 
   void schedule_next_write() {
-    system_.loop().schedule(opt_.write_period, [this] {
+    system_.loop().schedule(kWritePeriod, [this] {
       if (system_.loop().now() >= stop_writes_at_) return;
       issue_write();
       schedule_next_write();

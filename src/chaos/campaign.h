@@ -16,7 +16,7 @@
 //    frontiers must stay within a bounded spread (a replica silently left
 //    behind is a bug even when agreement still holds);
 //  * bounded recovery — after each heal, some client-visible completion
-//    must land within `recovery_bound` (the adaptive retransmission layer's
+//    must land within kRecoveryBound (the adaptive retransmission layer's
 //    post-heal fast reset is what makes this bound hold).
 //
 // A campaign is a pure function of (options): same seed, same phase
@@ -43,6 +43,10 @@ enum class Plant {
 const char* plant_name(Plant plant);
 bool parse_plant(const std::string& name, Plant& out);
 
+/// Post-heal bound: after every heal point, a client-visible write
+/// completion must land within this long.
+inline constexpr SimTime kRecoveryBound = seconds(2);
+
 struct CampaignOptions {
   Plant plant = Plant::kPowerGrid;
   Protocol protocol = Protocol::kPbft;
@@ -51,10 +55,6 @@ struct CampaignOptions {
   SimTime duration = seconds(60);  ///< fault-injection window (sim time)
   SimTime phase = seconds(4);      ///< one phase: inject, heal, audit
   SimTime watchdog_window = seconds(2);
-  SimTime write_period = millis(200);  ///< operator write cadence
-  /// Post-heal bound: after every heal point, a client-visible write
-  /// completion must land within this long.
-  SimTime recovery_bound = seconds(2);
   /// Test hook (0 = off): at this offset, silently isolate every replica
   /// WITHOUT the campaign's availability bookkeeping seeing it — an
   /// artificial wedge the liveness watchdog must convert into a violation.

@@ -21,6 +21,9 @@ namespace ss::chaos {
 namespace {
 
 constexpr SimTime kWarmup = millis(300);
+constexpr SimTime kDrain = millis(1500);      ///< healed, traffic continues
+constexpr SimTime kQuiesce = seconds(2);      ///< input stopped, converging
+constexpr SimTime kWritePeriod = millis(250); ///< operator write cadence
 constexpr const char* kRtuEndpoint = "chaos/rtu";
 /// Safety valve against accidental infinite message loops in a faulty run.
 constexpr std::size_t kEventBudget = 20'000'000;
@@ -58,21 +61,21 @@ class ChaosRun {
       system_.loop().schedule_at(t0 + action.at,
                                  [this, &action] { applier_.apply(action); });
     }
-    system_.loop().schedule_at(t0 + opt_.horizon,
+    system_.loop().schedule_at(t0 + kChaosHorizon,
                                [this] { applier_.heal_world(); });
 
-    stop_writes_at_ = t0 + opt_.horizon + opt_.drain / 2;
+    stop_writes_at_ = t0 + kChaosHorizon + kDrain / 2;
     schedule_next_write();
 
     // Drain with traffic flowing (lagging replicas need evidence to catch
     // up), then cut the telemetry source and let the system quiesce.
-    system_.run_until(t0 + opt_.horizon + opt_.drain);
+    system_.run_until(t0 + kChaosHorizon + kDrain);
     system_.net().set_policy(core::kFrontendEndpoint,
                              core::kProxyFrontendEndpoint,
                              sim::LinkPolicy::cut_link());
     bool runaway = false;
     try {
-      system_.run_until(t0 + opt_.horizon + opt_.drain + opt_.quiesce);
+      system_.run_until(t0 + kChaosHorizon + kDrain + kQuiesce);
     } catch (const std::runtime_error& e) {
       runaway = true;
       checker_.add_violation("event-budget", e.what());
@@ -169,7 +172,7 @@ class ChaosRun {
   }
 
   void schedule_next_write() {
-    system_.loop().schedule(opt_.write_period, [this] {
+    system_.loop().schedule(kWritePeriod, [this] {
       if (system_.loop().now() >= stop_writes_at_) return;
       issue_write();
       schedule_next_write();
@@ -292,7 +295,7 @@ RunReport run_script(const ChaosOptions& options, const FaultScript& script) {
 RunReport run_chaos(const ChaosOptions& options) {
   ScriptParams params;
   params.group = GroupConfig::for_protocol(options.protocol, options.f);
-  params.horizon = options.horizon;
+  params.horizon = kChaosHorizon;
   params.has_rtu = true;
   return run_script(options,
                     generate_script(options.family, params, options.seed));
@@ -346,7 +349,7 @@ std::string repro_command(const ChaosOptions& options,
 MinimizeResult minimize(const ChaosOptions& options) {
   ScriptParams params;
   params.group = GroupConfig::for_protocol(options.protocol, options.f);
-  params.horizon = options.horizon;
+  params.horizon = kChaosHorizon;
   params.has_rtu = true;
   FaultScript full = generate_script(options.family, params, options.seed);
 

@@ -32,16 +32,16 @@ enum class Sabotage {
   kDisableLogicalTimeouts,
 };
 
+/// Fault injections live in [0, kChaosHorizon) after warm-up; the world is
+/// healed at the horizon.
+inline constexpr SimTime kChaosHorizon = seconds(3);
+
 struct ChaosOptions {
   ScenarioFamily family = ScenarioFamily::kByzantineReplicas;
   /// Agreement protocol under test: PBFT runs 3f+1 replicas, MinBFT 2f+1.
   Protocol protocol = Protocol::kPbft;
   std::uint32_t f = 1;
   std::uint64_t seed = 1;
-  SimTime horizon = seconds(3);       ///< fault injections live in [0,horizon)
-  SimTime drain = millis(1500);       ///< healed, traffic continues (catch-up)
-  SimTime quiesce = seconds(2);       ///< input stopped before convergence
-  SimTime write_period = millis(250); ///< operator write cadence
   Sabotage sabotage = Sabotage::kNone;
 };
 

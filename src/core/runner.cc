@@ -118,17 +118,7 @@ void PooledOrderedRunner::worker_loop(State* state) {
   State& s = *state;
   std::unique_lock<std::mutex> lock(s.mu);
   while (true) {
-    if (s.options.spin) {
-      // Busy-wait: release the lock, yield, re-check. Burns a core for
-      // wake-up latency; only the bench-oriented SpinOrderedRunner uses it.
-      while (!s.stop && s.queue.empty()) {
-        lock.unlock();
-        std::this_thread::yield();
-        lock.lock();
-      }
-    } else {
-      s.work_cv.wait(lock, [&] { return s.stop || !s.queue.empty(); });
-    }
+    s.work_cv.wait(lock, [&] { return s.stop || !s.queue.empty(); });
     if (s.stop) return;
 
     State::PendingTask pending = std::move(s.queue.front());
@@ -252,13 +242,6 @@ std::uint64_t PooledOrderedRunner::delivered() const {
   return s.next_deliver_seq;
 }
 
-SpinOrderedRunner::SpinOrderedRunner(std::uint32_t workers,
-                                     RunnerOptions options)
-    : PooledOrderedRunner(workers, [&] {
-        options.spin = true;
-        return options;
-      }()) {}
-
 std::unique_ptr<Runner> make_runner_from_env(const std::string& tag) {
   const char* spec = std::getenv("SS_RUNNER");
   if (spec == nullptr || std::strcmp(spec, "") == 0 ||
@@ -266,23 +249,17 @@ std::unique_ptr<Runner> make_runner_from_env(const std::string& tag) {
     return std::make_unique<InlineRunner>();
   }
   std::string text(spec);
-  auto parse_workers = [&](const std::string& prefix) -> std::uint32_t {
-    if (text.size() == prefix.size()) return 4;
-    unsigned long n = std::strtoul(text.c_str() + prefix.size() + 1, nullptr, 10);
-    return n == 0 ? 4 : static_cast<std::uint32_t>(n);
-  };
-  RunnerOptions options;
-  options.tag = tag;
   if (text.rfind("pooled", 0) == 0) {
-    return std::make_unique<PooledOrderedRunner>(parse_workers("pooled"),
-                                                 std::move(options));
-  }
-  if (text.rfind("spin", 0) == 0) {
-    return std::make_unique<SpinOrderedRunner>(parse_workers("spin"),
-                                               std::move(options));
+    // "pooled" or "pooled:<N>"; a missing or zero N means 4 workers.
+    unsigned long n =
+        text.size() > 7 ? std::strtoul(text.c_str() + 7, nullptr, 10) : 0;
+    RunnerOptions options;
+    options.tag = tag;
+    return std::make_unique<PooledOrderedRunner>(
+        n == 0 ? 4 : static_cast<std::uint32_t>(n), std::move(options));
   }
   std::fprintf(stderr,
-               "SS_RUNNER=%s not recognized (want inline|pooled:N|spin:N); "
+               "SS_RUNNER=%s not recognized (want inline|pooled:N); "
                "using inline\n",
                spec);
   return std::make_unique<InlineRunner>();

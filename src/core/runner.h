@@ -96,10 +96,6 @@ class InlineRunner final : public Runner {
 };
 
 struct RunnerOptions {
-  /// Workers busy-wait for tasks instead of sleeping on a condition
-  /// variable — lower wake-up latency, a core burned per worker. The
-  /// SpinOrderedRunner convenience class sets this.
-  bool spin = false;
   /// Metrics prefix: gauges/histograms appear as runner/<tag>.*.
   std::string tag = "pool";
   /// Registers runner/<tag>.queue_depth (gauge), .task_ns and
@@ -112,7 +108,7 @@ struct RunnerOptions {
 /// number. Workers complete tasks in any order; drain() delivers solos in
 /// submission order, holding back later completions until the head of the
 /// sequence is done (the held-back time is the reorder_wait_ns histogram).
-class PooledOrderedRunner : public Runner {
+class PooledOrderedRunner final : public Runner {
  public:
   explicit PooledOrderedRunner(std::uint32_t workers, RunnerOptions options = {});
   ~PooledOrderedRunner() override;
@@ -138,17 +134,9 @@ class PooledOrderedRunner : public Runner {
   std::unique_ptr<State> state_;
 };
 
-/// Low-latency variant for benches: same ordering machinery, busy-waiting
-/// workers (RunnerOptions::spin).
-class SpinOrderedRunner final : public PooledOrderedRunner {
- public:
-  explicit SpinOrderedRunner(std::uint32_t workers, RunnerOptions options = {});
-};
-
 /// Builds a runner from the SS_RUNNER environment variable:
 ///   unset / "inline"  -> InlineRunner
 ///   "pooled:<N>"      -> PooledOrderedRunner with N workers
-///   "spin:<N>"        -> SpinOrderedRunner with N workers
 /// Unrecognized specs warn on stderr and fall back to inline. `tag` becomes
 /// the metrics prefix (runner/<tag>.*).
 std::unique_ptr<Runner> make_runner_from_env(const std::string& tag);

@@ -24,6 +24,21 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x53535450;  // "SSTP"
 constexpr std::uint8_t kVersion = 1;
+/// Max payload bytes per datagram fragment; the header rides on top and the
+/// whole datagram stays under the 65507-byte UDP limit.
+constexpr std::size_t kMaxFragment = 60000;
+/// Reassembled-message cap; larger sends are dropped (and counted).
+constexpr std::size_t kMaxMessage = 64u << 20;
+/// Partial reassemblies older than this are discarded.
+constexpr SimTime kReassemblyTimeout = seconds(10);
+/// send() flushes the outbox early once this many datagrams are queued, and
+/// one sendmmsg(2) call carries at most this many.
+constexpr std::size_t kMaxSendBatch = 128;
+constexpr int kSocketBufferBytes = 1 << 22;  // SO_RCVBUF and SO_SNDBUF
+/// After this many *consecutive* hard recv failures (anything other than
+/// EAGAIN/EWOULDBLOCK/EINTR) the endpoint is detached instead of spinning
+/// the read loop forever.
+constexpr std::size_t kMaxRecvFailures = 64;
 
 SimTime monotonic_ns() {
   timespec ts{};
@@ -46,10 +61,6 @@ SocketOptions socket_options_from_env(SocketOptions base) {
   if (const char* v = std::getenv("SS_RX_BATCH")) {
     long n = std::strtol(v, nullptr, 10);
     if (n >= 1 && n <= 1024) base.rx_batch = static_cast<std::size_t>(n);
-  }
-  if (const char* v = std::getenv("SS_BUSY_POLL")) {
-    long us = std::strtol(v, nullptr, 10);
-    if (us >= 0) base.busy_poll = static_cast<SimTime>(us) * 1000;
   }
   return base;
 }
@@ -105,10 +116,12 @@ class SocketTimerImpl final : public Timer::Impl {
 }  // namespace
 
 SocketTransport::SocketTransport(Resolver resolver, SocketOptions options)
-    : resolver_(std::move(resolver)), opt_(options) {
+    : resolver_(std::move(resolver)) {
   epoch_ = monotonic_ns();
   rx_buffer_.resize(65536);
-  if (opt_.rx_batch > 1) rx_ring_ = std::make_unique<RxRing>(opt_.rx_batch);
+  if (options.rx_batch > 1) {
+    rx_ring_ = std::make_unique<RxRing>(options.rx_batch);
+  }
   obs_source_ = obs::Registry::instance().add_source(
       "transport", [this](const obs::Registry::Emit& emit) {
         emit("messages_sent", static_cast<double>(stats_.messages_sent));
@@ -162,16 +175,10 @@ int SocketTransport::open_socket(const std::string& name) {
   }
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &opt_.rcvbuf_bytes,
-               sizeof(opt_.rcvbuf_bytes));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opt_.sndbuf_bytes,
-               sizeof(opt_.sndbuf_bytes));
-  if (opt_.busy_poll > 0) {
-    // Best effort; needs CAP_NET_ADMIN on older kernels, and the userspace
-    // spin in poll_once carries the feature where this is refused.
-    int us = static_cast<int>(opt_.busy_poll / 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_BUSY_POLL, &us, sizeof(us));
-  }
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes,
+               sizeof(kSocketBufferBytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes,
+               sizeof(kSocketBufferBytes));
   if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0) {
     int err = errno;
     ::close(fd);
@@ -213,10 +220,10 @@ void SocketTransport::enqueue_fragments(const std::string& from,
   std::uint64_t msg_id = next_msg_id_++;
   std::size_t total = payload.size();
   std::size_t nfrags =
-      total == 0 ? 1 : (total + opt_.max_fragment - 1) / opt_.max_fragment;
+      total == 0 ? 1 : (total + kMaxFragment - 1) / kMaxFragment;
   for (std::size_t i = 0; i < nfrags; ++i) {
-    std::size_t off = i * opt_.max_fragment;
-    std::size_t len = std::min(opt_.max_fragment, total - off);
+    std::size_t off = i * kMaxFragment;
+    std::size_t len = std::min(kMaxFragment, total - off);
     Writer w(len + from.size() + to.size() + 32);
     w.u32(kMagic);
     w.u8(kVersion);
@@ -239,8 +246,8 @@ void SocketTransport::send(const std::string& from, const std::string& to,
     ++stats_.unresolved_drops;
     return;
   }
-  if (payload.size() > opt_.max_message ||
-      (payload.size() + opt_.max_fragment - 1) / opt_.max_fragment > 65535) {
+  if (payload.size() > kMaxMessage ||
+      (payload.size() + kMaxFragment - 1) / kMaxFragment > 65535) {
     ++stats_.oversized_drops;
     return;
   }
@@ -262,7 +269,7 @@ void SocketTransport::send(const std::string& from, const std::string& to,
     fd = anon_fd_;
   }
   enqueue_fragments(from, to, payload, fd, *dest);
-  if (!opt_.batch || outbox_.size() >= opt_.max_batch) flush_outbox();
+  if (outbox_.size() >= kMaxSendBatch) flush_outbox();
 }
 
 void SocketTransport::flush_outbox() {
@@ -271,7 +278,7 @@ void SocketTransport::flush_outbox() {
     // One sendmmsg batch per run of datagrams sharing a source socket.
     std::size_t j = i + 1;
     while (j < outbox_.size() && outbox_[j].fd == outbox_[i].fd &&
-           j - i < opt_.max_batch) {
+           j - i < kMaxSendBatch) {
       ++j;
     }
     std::size_t n = j - i;
@@ -373,7 +380,7 @@ void SocketTransport::handle_datagram(ByteView datagram) {
       return;
     }
     rs.bytes += fragment.size();
-    if (rs.bytes > opt_.max_message) {
+    if (rs.bytes > kMaxMessage) {
       ++stats_.oversized_drops;
       reassembly_.erase(key);
       return;
@@ -402,7 +409,7 @@ bool SocketTransport::note_recv_failure(const std::string& name, int err) {
   ++stats_.recv_errors;
   auto it = endpoints_.find(name);
   if (it == endpoints_.end()) return true;
-  if (++it->second.consecutive_recv_errors >= opt_.max_recv_failures) {
+  if (++it->second.consecutive_recv_errors >= kMaxRecvFailures) {
     SS_LOG(LogLevel::kError, now(), "net",
            "endpoint %s: %zu consecutive recv failures (last errno=%d), "
            "detaching",
@@ -522,10 +529,10 @@ void SocketTransport::remove_pollable(int fd) {
 
 void SocketTransport::expire_reassemblies() {
   SimTime t = now();
-  if (t - last_gc_ < opt_.reassembly_timeout / 2) return;
+  if (t - last_gc_ < kReassemblyTimeout / 2) return;
   last_gc_ = t;
   for (auto it = reassembly_.begin(); it != reassembly_.end();) {
-    if (t - it->second.first_seen > opt_.reassembly_timeout) {
+    if (t - it->second.first_seen > kReassemblyTimeout) {
       ++stats_.reassembly_expired;
       it = reassembly_.erase(it);
     } else {
@@ -576,25 +583,7 @@ std::size_t SocketTransport::poll_once(SimTime max_wait) {
 
   int ready = 0;
   if (!fds.empty()) {
-    if (opt_.busy_poll > 0 && wait > 0) {
-      // Userspace spin: zero-timeout polls for up to min(busy_poll, wait)
-      // before parking in the kernel. Burns the core to shave the wakeup
-      // latency off each RX; the budget keeps timers on schedule.
-      SimTime wait_deadline = now() + wait;
-      SimTime spin_deadline = now() + std::min(opt_.busy_poll, wait);
-      do {
-        ready = ::poll(fds.data(), fds.size(), 0);
-      } while (ready == 0 && now() < spin_deadline);
-      // Don't let the spin push the next timer late: the blocking poll
-      // below gets only what is left of the original wait budget.
-      SimTime remaining = wait_deadline - now();
-      if (remaining < 0) remaining = 0;
-      timeout_ms =
-          static_cast<int>((remaining + kNanosPerMilli - 1) / kNanosPerMilli);
-    }
-    if (ready == 0 && timeout_ms >= 0) {
-      ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    }
+    ready = ::poll(fds.data(), fds.size(), timeout_ms);
   } else if (timeout_ms > 0) {
     ::poll(nullptr, 0, timeout_ms);
   }

@@ -6,7 +6,8 @@
 // count, from, to, payload fragment); payloads larger than one datagram are
 // fragmented and reassembled, so state-transfer snapshots cross real wires
 // too. Outgoing datagrams are batched per poll iteration and flushed with
-// sendmmsg(2) (falling back to sendto(2)); timers live in a min-heap that
+// sendmmsg(2) (falling back to sendto(2)); incoming ones are drained with
+// recvmmsg(2) into a preallocated ring; timers live in a min-heap that
 // drives the poll timeout. Single-threaded by design, like the simulated
 // loop: handlers and timer actions run on the polling thread and never
 // re-entrantly inside send().
@@ -47,39 +48,19 @@
 
 namespace ss::net {
 
+/// Fragment size, message cap, reassembly timeout, send-batch size, socket
+/// buffer sizes and the recv-failure limit are fixed (see the constants in
+/// socket_transport.cc); only the RX ring size is a knob.
 struct SocketOptions {
-  /// Max payload bytes per datagram fragment (header rides on top; the
-  /// default keeps the full datagram under the 65507-byte UDP limit).
-  std::size_t max_fragment = 60000;
-  /// Reassembled-message cap; larger sends are dropped (and counted).
-  std::size_t max_message = 64u << 20;
-  /// Partial reassemblies older than this are discarded.
-  SimTime reassembly_timeout = seconds(10);
-  /// Collect outgoing datagrams and flush once per loop iteration with
-  /// sendmmsg (false = every send() flushes immediately).
-  bool batch = true;
-  /// Flush early once this many datagrams are queued.
-  std::size_t max_batch = 128;
-  int rcvbuf_bytes = 1 << 22;
-  int sndbuf_bytes = 1 << 22;
-  /// After this many *consecutive* hard recv failures (anything other than
-  /// EAGAIN/EWOULDBLOCK/EINTR) the endpoint is detached instead of spinning
-  /// the read loop forever.
-  std::size_t max_recv_failures = 64;
   /// Datagrams drained per recvmmsg(2) call — the size of the preallocated
   /// RX buffer ring. 1 disables the batched path and reads one datagram per
   /// recvfrom(2) call (also the automatic fallback where recvmmsg is
   /// unavailable). Each ring slot holds a full 64 KiB datagram.
   std::size_t rx_batch = 32;
-  /// Userspace busy-poll budget: poll_once spins (zero-timeout polls) for
-  /// up to this long before blocking in poll(2). Trades a core for RX
-  /// latency; 0 = disabled. Also applied as SO_BUSY_POLL where supported.
-  SimTime busy_poll = 0;
 };
 
-/// `base` with the deployment environment knobs applied on top:
-/// SS_RX_BATCH=<n> (RX ring size, 1 = recvfrom path) and SS_BUSY_POLL=<us>
-/// (spin budget in microseconds).
+/// `base` with SS_RX_BATCH=<n> (RX ring size, 1 = recvfrom path) applied on
+/// top.
 SocketOptions socket_options_from_env(SocketOptions base = {});
 
 struct SocketStats {
@@ -203,7 +184,6 @@ class SocketTransport final : public Transport {
   void expire_reassemblies();
 
   Resolver resolver_;
-  SocketOptions opt_;
   SimTime epoch_ = 0;
   bool stopped_ = false;
   std::function<bool()> interrupt_check_;

@@ -86,7 +86,7 @@ TEST(CampaignRun, ShortPowerGridSoakIsClean) {
   EXPECT_GT(report.writes_completed, 0u);
   EXPECT_GT(report.watchdog_checks, 0u);
   EXPECT_GT(report.audits, 0u);
-  EXPECT_LE(report.worst_recovery, options.recovery_bound);
+  EXPECT_LE(report.worst_recovery, kRecoveryBound);
 }
 
 TEST(CampaignRun, ShortWaterPipelineSoakIsClean) {

@@ -200,6 +200,101 @@ TEST(ChaosCanary, DisabledTimeoutsAreCaughtAndMinimized) {
             min.report.violations.front().invariant);
 }
 
+// --- pinned MinBFT liveness failures --------------------------------------
+//
+// Two MinBFT liveness failures, each a deterministic script that asserts
+// today's outcome (the way SkippedUsigCountersAreAcceptedAsFreshAfterIsolation
+// pins the counter gap) next to a PBFT control run of the same script that
+// must stay clean. They are the starting point for ROADMAP item 3's targeted
+// adversary (DESIGN.md §16): when a fix lands, the MinBFT half flips.
+
+FaultAction scripted(SimTime at, ActionKind kind, std::uint32_t replica) {
+  FaultAction action;
+  action.at = at;
+  action.kind = kind;
+  action.replica = replica;
+  return action;
+}
+
+/// Replica 2 crashes, replica 1 turns gray-slow by `slow_us` per message,
+/// and replica 2 recovers.
+FaultScript crash_behind_slow_peer(std::uint64_t slow_us) {
+  FaultScript script;
+  script.actions.push_back(
+      scripted(millis(592), ActionKind::kCrashReplica, 2));
+  FaultAction slow = scripted(millis(821), ActionKind::kGraySlow, 1);
+  slow.count = slow_us;
+  script.actions.push_back(slow);
+  script.actions.push_back(
+      scripted(millis(1011), ActionKind::kRecoverReplica, 2));
+  return script;
+}
+
+TEST(MinBftLivenessPin, RecoveredReplicaNeverCatchesUpBehindSlowPeer) {
+  ChaosOptions options;
+  options.family = ScenarioFamily::kByzantineReplicas;
+  options.protocol = Protocol::kMinBft;
+  options.seed = 0x25;
+
+  RunReport minbft = run_script(options, crash_behind_slow_peer(1981));
+  // The operator writes all complete, but the recovered replica never
+  // starts a state transfer and is left far behind the live frontier.
+  ASSERT_EQ(minbft.violations.size(), 2u) << minbft.summary();
+  EXPECT_EQ(minbft.violations[0].invariant, "convergence");
+  EXPECT_EQ(minbft.violations[0].detail,
+            "after quiescence replica 2 is at cid=15 but replica 0 is at "
+            "cid=77");
+  EXPECT_EQ(minbft.violations[1].invariant, "convergence");
+  EXPECT_EQ(minbft.violations[1].detail,
+            "master state digests differ after quiescence");
+  EXPECT_EQ(minbft.writes_completed, minbft.writes_issued);
+  EXPECT_EQ(minbft.state_transfers, 0u);
+
+  // A milder slow-down lets MinBFT catch the replica up.
+  EXPECT_TRUE(run_script(options, crash_behind_slow_peer(500)).ok());
+
+  // PBFT control: the same script is clean, via state transfer.
+  options.protocol = Protocol::kPbft;
+  RunReport pbft = run_script(options, crash_behind_slow_peer(1981));
+  EXPECT_TRUE(pbft.ok()) << pbft.summary();
+  EXPECT_EQ(pbft.state_transfers, 2u);
+}
+
+TEST(MinBftLivenessPin, WritesStallUnderByzantineLeaderOnLossyLink) {
+  FaultScript script;
+  FaultAction lossy = scripted(millis(155), ActionKind::kLinkFault, 0);
+  lossy.link.from = "replica/0";
+  lossy.link.to = "replica/1";
+  lossy.link.policy.drop_prob = 0.31;
+  lossy.link.policy.extra_delay = millis(1);
+  lossy.link.policy.jitter = millis(25);
+  script.actions.push_back(lossy);
+  FaultAction byzantine = scripted(millis(513), ActionKind::kSetByzantine, 0);
+  byzantine.mode = bft::ByzantineMode::kCorruptReplies;
+  script.actions.push_back(byzantine);
+
+  ChaosOptions options;
+  options.family = ScenarioFamily::kMixed;
+  options.protocol = Protocol::kMinBft;
+  options.seed = 0x3ef;
+
+  RunReport minbft = run_script(options, script);
+  // Half the operator writes never complete, even after heal and quiesce.
+  ASSERT_FALSE(minbft.ok());
+  for (const Violation& v : minbft.violations) {
+    EXPECT_EQ(v.invariant, "write-liveness") << v.detail;
+  }
+  EXPECT_EQ(minbft.writes_issued, 14u);
+  EXPECT_EQ(minbft.writes_completed, 7u);
+  EXPECT_EQ(minbft.usig_rejections, 13u);
+
+  // PBFT control: every write completes.
+  options.protocol = Protocol::kPbft;
+  RunReport pbft = run_script(options, script);
+  EXPECT_TRUE(pbft.ok()) << pbft.summary();
+  EXPECT_EQ(pbft.writes_completed, 14u);
+}
+
 // --- determinism: the whole engine is a pure function of its options -----
 
 TEST(ChaosDeterminism, SameSeedSameRun) {

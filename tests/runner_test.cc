@@ -76,23 +76,6 @@ TEST(PooledOrderedRunner, OrderedCompletionEightWorkers) {
   ordered_completion(8);
 }
 
-TEST(SpinOrderedRunner, OrderedCompletion) {
-  SpinOrderedRunner runner(2, quiet());
-  constexpr int kTasks = 2000;
-  std::vector<int> order;
-  Rng rng(0xAB1E);
-  for (int i = 0; i < kTasks; ++i) {
-    const std::uint64_t spin = rng.below(500);
-    runner.submit([i, spin, &order]() -> Runner::Solo {
-      spin_for(spin);
-      return [i, &order] { order.push_back(i); };
-    });
-  }
-  runner.drain_until_idle();
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) ASSERT_EQ(order[i], i);
-}
-
 TEST(PooledOrderedRunner, SoloMayResubmit) {
   PooledOrderedRunner runner(2, quiet());
   std::vector<int> order;
