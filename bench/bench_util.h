@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,14 +74,19 @@ inline void drive_open_loop(sim::EventLoop& loop, double rate_per_sec,
   SimTime end = epoch + duration;
   auto index = std::make_shared<std::uint64_t>(0);
   auto step = std::make_shared<std::function<void()>>();
-  *step = [&loop, period, epoch, end, tick, index, step] {
+  // The scheduled copies reach the step through a weak reference: a step
+  // that held itself would never be freed. This scope owns it for the run.
+  *step = [&loop, period, epoch, end, tick, index,
+           self = std::weak_ptr<std::function<void()>>(step)] {
     // Issue everything due (a late wakeup issues the whole backlog), then
     // re-arm at the next absolute arrival time.
     for (;;) {
       SimTime scheduled = epoch + static_cast<SimTime>(*index) * period;
       if (scheduled >= end) return;
       if (scheduled > loop.now()) {
-        loop.schedule(scheduled - loop.now(), *step);
+        if (auto again = self.lock()) {
+          loop.schedule(scheduled - loop.now(), *again);
+        }
         return;
       }
       ++*index;

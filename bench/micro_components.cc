@@ -12,6 +12,7 @@
 #include "crypto/hmac.h"
 #include "crypto/keychain.h"
 #include "crypto/sha256.h"
+#include "obs/trace.h"
 #include "scada/handlers.h"
 #include "scada/master.h"
 #include "scada/messages.h"
@@ -215,6 +216,21 @@ void BM_MasterStateDigest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MasterStateDigest)->Arg(20000);
+
+/// One Tracer::record: the per-span cost a replica's Adapter pays twice per
+/// op (its "master" and "adapter" spans).
+void BM_TracerRecord(benchmark::State& state) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.reset();
+  std::uint64_t op = 0;
+  for (auto _ : state) {
+    ++op;
+    tracer.record(OpId{op}, "master", "adapter/0", 1000, 2000);
+    benchmark::ClobberMemory();
+  }
+  tracer.reset();
+}
+BENCHMARK(BM_TracerRecord);
 
 }  // namespace
 

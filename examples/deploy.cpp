@@ -182,6 +182,18 @@ struct ObsTeardown {
   }
 };
 
+/// Runs `action` every `period` on the transport's loop for as long as the
+/// transport lives. Each firing schedules a fresh closure, so no callback
+/// owns itself and the last one is freed with the transport's timers.
+void schedule_every(net::SocketTransport& transport, SimTime period,
+                    std::function<void()> action) {
+  transport.schedule(period, [&transport, period,
+                              action = std::move(action)]() mutable {
+    action();
+    schedule_every(transport, period, std::move(action));
+  });
+}
+
 /// Per-role observability: tracer clock on the transport, log capture into
 /// the flight recorder, crash dump handlers, a SIGUSR1-triggered metrics
 /// snapshot, and (with SS_METRICS_PERIOD=N) a periodic JSON metrics dump.
@@ -191,8 +203,7 @@ void setup_observability(net::SocketTransport& transport,
   obs::FlightRecorder::instance().capture_logs();
   install_crash_handlers();
 
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&transport, tag, poll] {
+  schedule_every(transport, millis(250), [tag] {
     if (g_snapshot) {
       g_snapshot = 0;
       std::fprintf(stderr, "[%s] metrics snapshot: ", tag.c_str());
@@ -205,21 +216,16 @@ void setup_observability(net::SocketTransport& transport,
       std::fprintf(stderr, "[%s] flight recorder (SIGUSR2):\n", tag.c_str());
       obs::FlightRecorder::instance().dump(stderr);
     }
-    transport.schedule(millis(250), *poll);
-  };
-  transport.schedule(millis(250), *poll);
+  });
 
   if (const char* period = std::getenv("SS_METRICS_PERIOD")) {
     SimTime every = seconds(std::strtol(period, nullptr, 10));
     if (every > 0) {
-      auto tick = std::make_shared<std::function<void()>>();
-      *tick = [&transport, tag, every, tick] {
+      schedule_every(transport, every, [tag] {
         std::fprintf(stderr, "[%s] metrics: ", tag.c_str());
         obs::Registry::instance().dump_json(stderr);
         std::fputc('\n', stderr);
-        transport.schedule(every, *tick);
-      };
-      transport.schedule(every, *tick);
+      });
     }
   }
 }
@@ -267,16 +273,16 @@ void serve(net::SocketTransport& transport) {
 
 /// With SS_DEPLOY_STATS set, prints transport counters every 2 s (debug aid
 /// for multi-process runs, where no single process sees the whole picture).
-void arm_stats_heartbeat(net::SocketTransport& transport, const char* tag,
+void arm_stats_heartbeat(net::SocketTransport& transport,
+                         const std::string& tag,
                          const std::function<std::string()>& extra = {}) {
   if (std::getenv("SS_DEPLOY_STATS") == nullptr) return;
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&transport, tag, extra, tick] {
+  schedule_every(transport, seconds(2), [&transport, tag, extra] {
     const net::SocketStats& s = transport.stats();
     std::fprintf(stderr,
                  "[%s] sent=%llu recv=%llu delivered=%llu decode_err=%llu "
                  "unresolved=%llu misdirected=%llu send_err=%llu%s\n",
-                 tag, (unsigned long long)s.messages_sent,
+                 tag.c_str(), (unsigned long long)s.messages_sent,
                  (unsigned long long)s.datagrams_received,
                  (unsigned long long)s.messages_delivered,
                  (unsigned long long)s.decode_errors,
@@ -284,9 +290,7 @@ void arm_stats_heartbeat(net::SocketTransport& transport, const char* tag,
                  (unsigned long long)s.misdirected,
                  (unsigned long long)s.send_errors,
                  extra ? (" " + extra()).c_str() : "");
-    transport.schedule(seconds(2), *tick);
-  };
-  transport.schedule(seconds(2), *tick);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -389,11 +393,9 @@ int run_replica(const std::string& config, GroupConfig group,
   setup_observability(transport, tag);
   ObsTeardown teardown{tag};
   std::fprintf(stderr, "[replica/%u] up\n", id);
-  arm_stats_heartbeat(transport, ("replica/" + std::to_string(id)).c_str(),
-                      [&] {
-                        return "decided=" +
-                               std::to_string(replica.stats().batches_decided);
-                      });
+  arm_stats_heartbeat(transport, tag, [&] {
+    return "decided=" + std::to_string(replica.stats().batches_decided);
+  });
   serve(transport);
   // Graceful TERM: persist the final frontier so the next start replays
   // nothing (and so the orchestrator can audit cross-replica digests).

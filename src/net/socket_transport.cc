@@ -3,10 +3,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdlib>
@@ -39,6 +41,8 @@ constexpr int kSocketBufferBytes = 1 << 22;  // SO_RCVBUF and SO_SNDBUF
 /// EAGAIN/EWOULDBLOCK/EINTR) the endpoint is detached instead of spinning
 /// the read loop forever.
 constexpr std::size_t kMaxRecvFailures = 64;
+/// Address space reserved per RX ring slot: one whole UDP datagram.
+constexpr std::size_t kRxSlotBytes = 65536;
 
 SimTime monotonic_ns() {
   timespec ts{};
@@ -65,20 +69,42 @@ SocketOptions socket_options_from_env(SocketOptions base) {
   return base;
 }
 
-/// One 64 KiB slot per datagram recvmmsg may return; headers/iovecs are set
-/// up once and reused for every call, so the steady-state RX path does no
-/// allocation.
+/// One 64 KiB slot per datagram recvmmsg may return, carved out of a single
+/// anonymous mapping that the transport never writes itself: a page becomes
+/// resident only when the kernel copies a datagram into it, so the ring
+/// costs about one page per slot a datagram has touched, and at worst
+/// (every slot holding a full fragment) the whole slab. Headers/iovecs are
+/// set up once and reused for every call, so the steady-state RX path does
+/// no allocation.
 struct SocketTransport::RxRing {
   explicit RxRing(std::size_t slots)
-      : buffers(slots, Bytes(65536)), hdrs(slots), iovs(slots), peers(slots) {
+      : hdrs(slots), iovs(slots), peers(slots) {
+    void* p = ::mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+      throw std::runtime_error("socket transport: RX ring mmap failed: " +
+                               std::string(std::strerror(errno)));
+    }
+    slab = static_cast<std::uint8_t*>(p);
+    // A transparent huge page would make the whole slab resident on the
+    // first datagram.
+    ::madvise(slab, bytes(), MADV_NOHUGEPAGE);
     rearm();
   }
+  ~RxRing() { ::munmap(slab, bytes()); }
+  RxRing(const RxRing&) = delete;
+  RxRing& operator=(const RxRing&) = delete;
+
+  std::size_t slots() const { return hdrs.size(); }
+  std::size_t bytes() const { return slots() * kRxSlotBytes; }
+  std::uint8_t* slot(std::size_t i) const { return slab + i * kRxSlotBytes; }
+
   /// msg_hdr fields (namelen in particular) are overwritten by the kernel on
   /// every call and must be reset before the next one.
   void rearm() {
-    for (std::size_t i = 0; i < buffers.size(); ++i) {
-      iovs[i].iov_base = buffers[i].data();
-      iovs[i].iov_len = buffers[i].size();
+    for (std::size_t i = 0; i < slots(); ++i) {
+      iovs[i].iov_base = slot(i);
+      iovs[i].iov_len = kRxSlotBytes;
       std::memset(&hdrs[i], 0, sizeof(hdrs[i]));
       hdrs[i].msg_hdr.msg_name = &peers[i];
       hdrs[i].msg_hdr.msg_namelen = sizeof(peers[i]);
@@ -86,10 +112,10 @@ struct SocketTransport::RxRing {
       hdrs[i].msg_hdr.msg_iovlen = 1;
     }
   }
-  std::vector<Bytes> buffers;
   std::vector<mmsghdr> hdrs;
   std::vector<iovec> iovs;
   std::vector<sockaddr_in> peers;
+  std::uint8_t* slab = nullptr;
 };
 
 struct SocketTransport::TimerState {
@@ -116,12 +142,10 @@ class SocketTimerImpl final : public Timer::Impl {
 }  // namespace
 
 SocketTransport::SocketTransport(Resolver resolver, SocketOptions options)
-    : resolver_(std::move(resolver)) {
+    : resolver_(std::move(resolver)),
+      rx_ring_(std::make_unique<RxRing>(
+          std::max<std::size_t>(options.rx_batch, 1))) {
   epoch_ = monotonic_ns();
-  rx_buffer_.resize(65536);
-  if (options.rx_batch > 1) {
-    rx_ring_ = std::make_unique<RxRing>(options.rx_batch);
-  }
   obs_source_ = obs::Registry::instance().add_source(
       "transport", [this](const obs::Registry::Emit& emit) {
         emit("messages_sent", static_cast<double>(stats_.messages_sent));
@@ -422,7 +446,7 @@ bool SocketTransport::note_recv_failure(const std::string& name, int err) {
 }
 
 void SocketTransport::read_socket(const std::string& name, int fd) {
-  if (rx_ring_ && recvmmsg_ok_) {
+  if (rx_ring_->slots() > 1 && recvmmsg_ok_) {
     read_socket_batched(name, fd);
   } else {
     read_socket_single(name, fd);
@@ -435,7 +459,7 @@ void SocketTransport::read_socket_single(const std::string& name, int fd) {
     if (it == endpoints_.end() || it->second.fd != fd) return;  // detached
     sockaddr_in peer{};
     socklen_t peer_len = sizeof(peer);
-    ssize_t n = ::recvfrom(fd, rx_buffer_.data(), rx_buffer_.size(), 0,
+    ssize_t n = ::recvfrom(fd, rx_ring_->slot(0), kRxSlotBytes, 0,
                            reinterpret_cast<sockaddr*>(&peer), &peer_len);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -448,7 +472,7 @@ void SocketTransport::read_socket_single(const std::string& name, int fd) {
     obs::Registry::instance().histogram("net.rx_batch_size").record(1);
     ++stats_.datagrams_received;
     stats_.bytes_received += static_cast<std::uint64_t>(n);
-    handle_datagram(ByteView(rx_buffer_.data(), static_cast<std::size_t>(n)));
+    handle_datagram(ByteView(rx_ring_->slot(0), static_cast<std::size_t>(n)));
   }
 }
 
@@ -459,7 +483,7 @@ void SocketTransport::read_socket_batched(const std::string& name, int fd) {
     if (it == endpoints_.end() || it->second.fd != fd) return;  // detached
     ring.rearm();
     int n = ::recvmmsg(fd, ring.hdrs.data(),
-                       static_cast<unsigned int>(ring.hdrs.size()), 0, nullptr);
+                       static_cast<unsigned int>(ring.slots()), 0, nullptr);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
@@ -485,9 +509,9 @@ void SocketTransport::read_socket_batched(const std::string& name, int fd) {
       std::size_t len = ring.hdrs[i].msg_len;
       ++stats_.datagrams_received;
       stats_.bytes_received += len;
-      handle_datagram(ByteView(ring.buffers[i].data(), len));
+      handle_datagram(ByteView(ring.slot(i), len));
     }
-    if (static_cast<std::size_t>(n) < ring.hdrs.size()) return;  // drained
+    if (static_cast<std::size_t>(n) < ring.slots()) return;  // drained
     // The whole ring filled — more datagrams are likely queued; go again
     // without returning to poll().
     ++stats_.rx_ring_full;

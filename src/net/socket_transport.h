@@ -7,7 +7,7 @@
 // fragmented and reassembled, so state-transfer snapshots cross real wires
 // too. Outgoing datagrams are batched per poll iteration and flushed with
 // sendmmsg(2) (falling back to sendto(2)); incoming ones are drained with
-// recvmmsg(2) into a preallocated ring; timers live in a min-heap that
+// recvmmsg(2) into a lazily resident slab; timers live in a min-heap that
 // drives the poll timeout. Single-threaded by design, like the simulated
 // loop: handlers and timer actions run on the polling thread and never
 // re-entrantly inside send().
@@ -52,10 +52,11 @@ namespace ss::net {
 /// buffer sizes and the recv-failure limit are fixed (see the constants in
 /// socket_transport.cc); only the RX ring size is a knob.
 struct SocketOptions {
-  /// Datagrams drained per recvmmsg(2) call — the size of the preallocated
-  /// RX buffer ring. 1 disables the batched path and reads one datagram per
-  /// recvfrom(2) call (also the automatic fallback where recvmmsg is
-  /// unavailable). Each ring slot holds a full 64 KiB datagram.
+  /// Datagrams drained per recvmmsg(2) call — the number of RX ring slots.
+  /// 1 disables the batched path and reads one datagram per recvfrom(2)
+  /// call (also the automatic fallback where recvmmsg is unavailable). Each
+  /// slot reserves a full 64 KiB datagram of address space, but only the
+  /// pages a received datagram has touched are resident.
   std::size_t rx_batch = 32;
 };
 
@@ -166,7 +167,7 @@ class SocketTransport final : public Transport {
     std::vector<Bytes> fragments;
   };
 
-  struct RxRing;  // preallocated recvmmsg buffer ring (defined in the .cc)
+  struct RxRing;  // mmap'd recvmmsg slab (defined in the .cc)
 
   int open_socket(const std::string& name);
   void enqueue_fragments(const std::string& from, const std::string& to,
@@ -208,8 +209,7 @@ class SocketTransport final : public Transport {
   /// External fds (runner eventfds) polled alongside the sockets.
   std::vector<std::pair<int, std::function<void()>>> pollables_;
 
-  Bytes rx_buffer_;
-  /// Preallocated recvmmsg buffers; null when rx_batch <= 1.
+  /// RX slots for both read paths; recvfrom reads into slot 0.
   std::unique_ptr<RxRing> rx_ring_;
   /// Cleared at runtime if recvmmsg(2) reports ENOSYS/EOPNOTSUPP — every
   /// later read takes the recvfrom path.

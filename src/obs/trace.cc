@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cinttypes>
 
 #include "common/logging.h"
@@ -21,16 +22,7 @@ void FlightRecorder::set_capacity(std::size_t n) {
 
 void FlightRecorder::note(SimTime at, std::string text) {
   if (ring_.size() >= capacity_) ring_.pop_front();
-  ring_.push_back(Entry{at, std::move(text)});
-}
-
-void FlightRecorder::add_span(const Span& span) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "span op=%" PRIu64 " stage=%s component=%s dur=%" PRId64 "ns",
-                span.op, span.stage.c_str(), span.component.c_str(),
-                span.duration());
-  note(span.end, buf);
+  ring_.push_back(Entry{at, std::move(text), Tracer::instance().completed()});
 }
 
 void FlightRecorder::capture_logs() {
@@ -43,19 +35,71 @@ void FlightRecorder::capture_logs() {
   });
 }
 
+FlightRecorder::Window FlightRecorder::window() const {
+  const Tracer& tracer = Tracer::instance();
+  const std::size_t spans = tracer.spans().size();
+  Window w;
+  w.first = tracer.completed() - spans;
+  // Spans completed before clear() stay in the Tracer but not in the dump.
+  const std::size_t oldest_span =
+      hidden_spans_ > w.first
+          ? static_cast<std::size_t>(
+                std::min<std::uint64_t>(hidden_spans_ - w.first, spans))
+          : 0;
+  // Walk back from the newest event. Note n-1 is newer than span s-1 (span
+  // number first + s - 1) iff that span had completed when it arrived.
+  w.span = spans;
+  w.note = ring_.size();
+  while (w.events < capacity_) {
+    const bool note_left = w.note > 0;
+    const bool span_left = w.span > oldest_span;
+    if (!note_left && !span_left) break;
+    if (note_left &&
+        (!span_left || ring_[w.note - 1].spans_before >= w.first + w.span)) {
+      --w.note;
+    } else {
+      --w.span;
+    }
+    ++w.events;
+  }
+  return w;
+}
+
+std::size_t FlightRecorder::size() const { return window().events; }
+
 std::string FlightRecorder::dump_string() const {
+  const std::deque<Span>& spans = Tracer::instance().spans();
+  Window w = window();
   std::string out;
-  char head[96];
-  std::snprintf(head, sizeof(head),
+  char line[160];
+  std::snprintf(line, sizeof(line),
                 "--- flight recorder (%zu of last %zu events) ---\n",
-                ring_.size(), capacity_);
-  out += head;
-  for (const Entry& e : ring_) {
-    char stamp[48];
-    std::snprintf(stamp, sizeof(stamp), "[%12.3fms] ",
-                  static_cast<double>(e.at) / kNanosPerMilli);
-    out += stamp;
-    out += e.text;
+                w.events, capacity_);
+  out += line;
+  auto stamp = [&](SimTime at) {
+    std::snprintf(line, sizeof(line), "[%12.3fms] ",
+                  static_cast<double>(at) / kNanosPerMilli);
+    out += line;
+  };
+  while (w.span < spans.size() || w.note < ring_.size()) {
+    // A note precedes span number j iff fewer than j + 1 spans had
+    // completed when it arrived.
+    if (w.note < ring_.size() &&
+        (w.span == spans.size() ||
+         ring_[w.note].spans_before <= w.first + w.span)) {
+      const Entry& e = ring_[w.note++];
+      stamp(e.at);
+      out += e.text;
+    } else {
+      const Span& span = spans[w.span++];
+      stamp(span.end);
+      std::snprintf(line, sizeof(line),
+                    "span op=%" PRIu64 " stage=%s component=%s dur=%" PRId64
+                    "ns",
+                    span.op, span.stage.c_str(), span.component.c_str(),
+                    span.duration());
+      out += line;
+    }
     out.push_back('\n');
   }
   out += "--- end flight recorder ---\n";
@@ -68,7 +112,10 @@ void FlightRecorder::dump(std::FILE* out) const {
   std::fflush(out);
 }
 
-void FlightRecorder::clear() { ring_.clear(); }
+void FlightRecorder::clear() {
+  ring_.clear();
+  hidden_spans_ = Tracer::instance().completed();
+}
 
 // --- Tracer ----------------------------------------------------------------
 
@@ -115,10 +162,10 @@ void Tracer::record(OpId op, const char* stage, const char* component,
 void Tracer::finish(const Span& span) {
   if (spans_.size() >= capacity_) spans_.pop_front();
   spans_.push_back(span);
+  ++completed_;
   Registry::instance()
       .histogram(std::string("stage/") + span.stage)
       .record(span.duration());
-  FlightRecorder::instance().add_span(span);
 }
 
 void Tracer::evict_open_if_needed() {

@@ -14,9 +14,11 @@
 // line up exactly; in the UDP deployment each process dumps its spans to
 // SS_TRACE_DIR and the orchestrator merges them by op id.
 //
-// The FlightRecorder is a bounded ring of recent spans and log lines,
+// The FlightRecorder is a bounded window over recent spans and log lines,
 // dumped to stderr when a chaos invariant fires or a deploy process
-// crashes — the last few thousand events before the failure, for free.
+// crashes — the last few thousand events before the failure, for free. It
+// stores only the log lines: spans live once, in the Tracer's ring, and are
+// merged with the lines when a dump is printed.
 //
 // Single-threaded like the rest of the codebase; no locks.
 #pragma once
@@ -44,19 +46,22 @@ struct Span {
   SimTime duration() const { return end - begin; }
 };
 
-/// Bounded ring buffer of recent observability events (completed spans and
-/// captured log lines). dump() prints the tail of history — cheap enough to
-/// keep always-on, detailed enough to explain a crash.
+/// Bounded window over recent observability events: the completed spans the
+/// Tracer retains and the log lines noted here. Events are ordered by one
+/// shared admission counter, the Tracer's completed-span count: a note
+/// records how many spans had completed when it arrived. dump() prints the
+/// newest capacity() events — cheap enough to keep always-on, detailed
+/// enough to explain a crash.
 class FlightRecorder {
  public:
   static FlightRecorder& instance();
 
   void set_capacity(std::size_t n);
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return ring_.size(); }
+  /// Events the next dump() prints (spans and notes together).
+  std::size_t size() const;
 
   void note(SimTime at, std::string text);
-  void add_span(const Span& span);
 
   /// Installs a Logger capture hook so every SS_LOG line (at any level)
   /// is recorded here in addition to its normal destination.
@@ -64,16 +69,28 @@ class FlightRecorder {
 
   std::string dump_string() const;
   void dump(std::FILE* out) const;
+  /// Drops the notes and hides every span completed so far; the Tracer
+  /// keeps those spans.
   void clear();
 
  private:
   struct Entry {
     SimTime at = 0;
     std::string text;
+    std::uint64_t spans_before = 0;  // Tracer::completed() at admission
   };
+  /// The newest capacity() visible events: spans()[span..] and ring_[note..].
+  struct Window {
+    std::uint64_t first = 0;  // span number of Tracer::spans()[0]
+    std::size_t span = 0;
+    std::size_t note = 0;
+    std::size_t events = 0;
+  };
+  Window window() const;
 
   std::deque<Entry> ring_;
   std::size_t capacity_ = 4096;
+  std::uint64_t hidden_spans_ = 0;  // spans completed before clear()
 };
 
 /// Per-process span tracker keyed by (op, stage). begin()/end() cover async
@@ -98,6 +115,9 @@ class Tracer {
 
   /// Completed spans, oldest first, bounded by capacity.
   const std::deque<Span>& spans() const { return spans_; }
+  /// Spans completed since the process started; reset() keeps counting, so
+  /// spans()[i] is span number completed() - spans().size() + i.
+  std::uint64_t completed() const { return completed_; }
   std::vector<Span> spans_for(OpId op) const;
   bool has_span(OpId op, const std::string& stage) const;
 
@@ -126,6 +146,7 @@ class Tracer {
   std::deque<Span> spans_;
   std::size_t capacity_ = 8192;
   std::uint64_t next_seq_ = 1;
+  std::uint64_t completed_ = 0;
 };
 
 }  // namespace ss::obs

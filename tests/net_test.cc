@@ -14,6 +14,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -607,6 +609,13 @@ TEST(BatchedRx, RecvfromFallbackDeliversByteIdenticalMessages) {
     for (std::uint8_t j = 0; j <= i; ++j) payload.push_back(i ^ j);
     frames.push_back(make_frame(i + 1, "alice", "bob", payload));
   }
+  // A maximum-size fragment (the transport's 60 000-byte cap) fills most of
+  // a 64 KiB ring slot, so every page of the slot must carry its bytes.
+  Bytes largest(60000);
+  for (std::size_t k = 0; k < largest.size(); ++k) {
+    largest[k] = static_cast<std::uint8_t>(k * 31 + 7);
+  }
+  frames.push_back(make_frame(13, "alice", "bob", largest));
 
   auto deliver_with = [&](std::size_t rx_batch) {
     net::Resolver resolver;
@@ -633,6 +642,56 @@ TEST(BatchedRx, RecvfromFallbackDeliversByteIdenticalMessages) {
     EXPECT_EQ(batched[i].to, single[i].to);
     EXPECT_EQ(batched[i].payload, single[i].payload);
   }
+  EXPECT_EQ(batched.back().payload, largest);
+  EXPECT_EQ(single.back().payload, largest);
+}
+
+/// This process's resident set in KiB (VmRSS in /proc/self/status).
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtol(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+TEST(BatchedRx, RingIsResidentOnlyWhereDatagramsLand) {
+  // The default ring reserves 32 x 64 KiB of address space. Constructing the
+  // transport must not make it resident, and small datagrams through every
+  // slot touch about one page each.
+  constexpr long kBoundKib = 1024;
+  std::vector<Bytes> frames;
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    frames.push_back(make_frame(i + 1, "alice", "bob", Bytes{i, i, i}));
+  }
+  // VmRSS growth once a transport is constructed and once `frames` have
+  // drained through it.
+  auto growth = [&](std::size_t rx_batch) {
+    const long before = resident_kib();
+    net::Resolver resolver;
+    std::uint16_t port = next_port();
+    resolver.add("bob", net::SocketAddress{"127.0.0.1", port});
+    net::SocketOptions options;
+    options.rx_batch = rx_batch;
+    net::SocketTransport transport(std::move(resolver), options);
+    const long constructed = resident_kib() - before;
+    std::size_t delivered = 0;
+    transport.attach("bob", [&](net::Message) { ++delivered; });
+    blast(port, frames);
+    EXPECT_TRUE(transport.run_until(
+        [&] { return delivered >= frames.size(); }, seconds(2)));
+    return std::make_pair(constructed, resident_kib() - before);
+  };
+  // A first pass through a 2-slot ring faults in the code pages the RX path
+  // runs, so the measured pass sees only what the default ring adds.
+  ASSERT_GT(resident_kib(), 0);
+  growth(2);
+  const auto [constructed, drained] = growth(net::SocketOptions{}.rx_batch);
+  EXPECT_LT(constructed, kBoundKib) << "at construction";
+  EXPECT_LT(drained, kBoundKib) << "after 32 datagrams";
 }
 
 TEST_P(CorruptionRejection, CorruptedScadaFramesFailHmacVerification) {

@@ -1,7 +1,8 @@
 // Observability layer: histogram percentile accuracy (including the
 // empty/one-sample edge cases), registry sources, tracer span lifecycle —
 // both in isolation and across a full replicated write round in the sim
-// harness — and the flight recorder's bounded ring.
+// harness — and the flight recorder's bounded window, which merges the
+// Tracer's spans with its own log notes at dump time.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -259,6 +260,101 @@ TEST(FlightRecorderTest, CompletedSpansLandInTheRecorder) {
   std::string dump = rec.dump_string();
   EXPECT_NE(dump.find("314"), std::string::npos) << dump;
   EXPECT_NE(dump.find("frontend"), std::string::npos) << dump;
+  tracer.reset();
+  rec.clear();
+}
+
+/// Asserts that `needles` occur in `dump` in this order.
+void expect_in_order(const std::string& dump,
+                     const std::vector<std::string>& needles) {
+  std::size_t pos = 0;
+  for (const std::string& needle : needles) {
+    const std::size_t at = dump.find(needle, pos);
+    ASSERT_NE(at, std::string::npos) << needle << " missing or out of order\n"
+                                     << dump;
+    pos = at + needle.size();
+  }
+}
+
+TEST(FlightRecorderTest, SpansAndNotesDumpInAdmissionOrder) {
+  FlightRecorder& rec = FlightRecorder::instance();
+  Tracer& tracer = Tracer::instance();
+  tracer.reset();
+  rec.clear();
+  // Timestamps run against admission order: the dump follows admission.
+  rec.note(900, "note-a");
+  tracer.record(OpId{1}, "frontend", "comp", 0, 100);
+  rec.note(800, "note-b");
+  tracer.record(OpId{2}, "master", "comp", 0, 200);
+  tracer.record(OpId{3}, "voter", "comp", 0, 300);
+  rec.note(700, "note-c");
+  EXPECT_EQ(rec.size(), 6u);
+  expect_in_order(rec.dump_string(),
+                  {"(6 of last 4096 events)", "note-a", "span op=1 ", "note-b",
+                   "span op=2 ", "span op=3 ", "note-c",
+                   "--- end flight recorder ---"});
+  tracer.reset();
+  rec.clear();
+}
+
+TEST(FlightRecorderTest, CapacityBoundsSpansAndNotesTogether) {
+  FlightRecorder& rec = FlightRecorder::instance();
+  Tracer& tracer = Tracer::instance();
+  tracer.reset();
+  rec.clear();
+  rec.set_capacity(4);
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    rec.note(0, "note-" + std::to_string(i));
+    tracer.record(OpId{i}, "frontend", "comp", 0, 10);
+  }
+  // Six events, room for four: the two oldest (note-1, span op=1) go.
+  EXPECT_EQ(rec.size(), 4u);
+  const std::string dump = rec.dump_string();
+  EXPECT_EQ(dump.find("note-1"), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("span op=1 "), std::string::npos) << dump;
+  expect_in_order(dump, {"(4 of last 4 events)", "note-2", "span op=2 ",
+                         "note-3", "span op=3 "});
+  // The Tracer still holds all three spans; only the dump is bounded.
+  EXPECT_EQ(tracer.spans().size(), 3u);
+  rec.set_capacity(4096);
+  tracer.reset();
+  rec.clear();
+}
+
+TEST(FlightRecorderTest, ClearHidesEarlierSpansTheTracerStillHolds) {
+  FlightRecorder& rec = FlightRecorder::instance();
+  Tracer& tracer = Tracer::instance();
+  tracer.reset();
+  rec.clear();
+  tracer.record(OpId{7}, "frontend", "comp", 0, 10);
+  rec.note(10, "before clear");
+  rec.clear();
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_TRUE(tracer.has_span(OpId{7}, "frontend"));
+  tracer.record(OpId{8}, "frontend", "comp", 10, 20);
+  const std::string dump = rec.dump_string();
+  EXPECT_EQ(dump.find("op=7 "), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("before clear"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("span op=8 "), std::string::npos) << dump;
+  EXPECT_EQ(rec.size(), 1u);
+  tracer.reset();
+  rec.clear();
+}
+
+TEST(FlightRecorderTest, SpanLineFormatIsUnchanged) {
+  FlightRecorder& rec = FlightRecorder::instance();
+  Tracer& tracer = Tracer::instance();
+  tracer.reset();
+  rec.clear();
+  tracer.record(OpId{42}, "agreement", "replica/0", millis(1),
+                millis(3) + micros(500));
+  rec.note(millis(4), "log INFO  net: hello");
+  EXPECT_EQ(rec.dump_string(),
+            "--- flight recorder (2 of last 4096 events) ---\n"
+            "[       3.500ms] span op=42 stage=agreement component=replica/0 "
+            "dur=2500000ns\n"
+            "[       4.000ms] log INFO  net: hello\n"
+            "--- end flight recorder ---\n");
   tracer.reset();
   rec.clear();
 }
