@@ -73,19 +73,13 @@ inline core::ProxyOptions proxy_options(const char* endpoint,
   return options;
 }
 
-inline GroupConfig group_from_env(std::uint32_t f) {
-  const char* name = std::getenv("SS_PROTOCOL");
-  return GroupConfig::for_protocol(
-      name != nullptr ? parse_protocol(name) : Protocol::kPbft, f);
-}
-
 /// The `deploy replica` children and their config file. The constructor
 /// spawns them; the destructor SIGTERMs and reaps them and removes the file.
 class ReplicaProcesses {
  public:
   ReplicaProcesses(std::uint32_t f, std::uint16_t base_port,
                    const std::string& deploy)
-      : group(group_from_env(f)),
+      : group(GroupConfig::for_protocol(protocol_from_env(), f)),
         config("/tmp/smart-scada-bench-" + std::to_string(::getpid()) + "-" +
                std::to_string(base_port) + ".conf"),
         deploy_(locate_deploy(deploy)) {

@@ -16,20 +16,14 @@
 //                                          die (exponential backoff, bounded
 //                                          retries); implies a durable state
 //                                          dir so restarts recover from disk
-//     [--kill-replica I --kill-after MS]   SIGKILL replica I after MS ms —
-//                                          the crash-restart smoke test
+//     [--kill-replica I --kill-after MS]   with --supervise: SIGKILL replica
+//                                          I after MS ms — the crash-restart
+//                                          smoke test
 //     [--rounds N]                         N extra HMI write rounds, so
 //                                          there is load during the window
-//     [--campaign SECS]                    rolling-fault soak: the supervisor
-//                                          alternates SIGSTOP freezes (gray,
-//                                          slow-but-correct replicas) with
-//                                          SIGKILL + supervised restart until
-//                                          SECS elapse, then heals; the HMI's
-//                                          write rounds through and after the
-//                                          window are the verdict
 //
 // Any role dumps its flight recorder to stderr on SIGUSR2 (and metrics +
-// flight recorder on SIGUSR1) — inspect a stuck soak without killing it.
+// flight recorder on SIGUSR1) — inspect a stuck run without killing it.
 //   deploy config --f N --base-port P      print the generated config file
 //   deploy replica --id I --f N --config FILE
 //   deploy frontend --f N --config FILE
@@ -39,6 +33,8 @@
 // With SS_STATE_DIR=<dir> each replica keeps a WAL + checkpoint under
 // <dir>/replica-<id> (fsync'd before decisions execute) and recovers from
 // it on startup; SS_CHECKPOINT_INTERVAL overrides the checkpoint period.
+// With SS_PROACTIVE_PERIOD=<ms> the --supervise loop also reincarnates one
+// replica per period round-robin (core::Supervisor holds the policy).
 // With SS_RUNNER=pooled:<N> each replica fans HMAC verify/sign and message
 // codec out to N worker threads (core::PooledOrderedRunner); the state
 // machine and all sends stay on the poll thread.
@@ -55,12 +51,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -72,9 +70,9 @@
 #include "core/nodes.h"
 #include "core/proxies.h"
 #include "core/replicated_deployment.h"
-#include "core/restart_budget.h"
 #include "core/runner.h"
 #include "core/scada_link.h"
+#include "core/supervisor.h"
 #include "crypto/keychain.h"
 #include "net/resolver.h"
 #include "net/socket_transport.h"
@@ -113,17 +111,83 @@ void handle_stop(int) { g_stop = 1; }
 void handle_snapshot(int) { g_snapshot = 1; }
 void handle_dump(int) { g_dump = 1; }
 
-/// The one place every role derives its group from: SS_PROTOCOL selects the
-/// agreement engine (pbft, the default, runs 3f+1 processes; minbft runs
-/// 2f+1), and the environment propagates to spawned children, so `deploy
-/// local`, each replica, the frontend, and the HMI all agree on n without
-/// any extra plumbing.
-GroupConfig group_from_env(std::uint32_t f) {
-  Protocol protocol = Protocol::kPbft;
-  if (const char* name = std::getenv("SS_PROTOCOL")) {
-    protocol = parse_protocol(name);
+int usage() {
+  std::fprintf(
+      stderr,
+      "usage: deploy local [--f N] [--base-port P] [--supervise]\n"
+      "                    [--kill-replica I] [--kill-after MS] [--rounds N]\n"
+      "                    (--kill-replica needs --supervise)\n"
+      "       deploy config [--f N] [--base-port P]\n"
+      "       deploy replica --id I [--f N] --config FILE\n"
+      "       deploy frontend [--f N] --config FILE\n"
+      "       deploy hmi [--f N] --config FILE [--rounds N]\n"
+      "       deploy rtu --config FILE\n"
+      "env:   SS_PROTOCOL=pbft|minbft       agreement engine (3f+1 or 2f+1)\n"
+      "       SS_STATE_DIR=<dir>            durable replica state (WAL +\n"
+      "                                     checkpoints) under <dir>/replica-<id>\n"
+      "       SS_CHECKPOINT_INTERVAL=<n>    checkpoint every n decisions\n"
+      "       SS_PROACTIVE_PERIOD=<ms>      with --supervise: reincarnate one\n"
+      "                                     replica per period round-robin\n"
+      "                                     (durable reboot + fresh key epoch)\n"
+      "       SS_ALARM_THRESHOLD=<v>        attach a Monitor (alarm above v)\n"
+      "                                     to the temperature point\n"
+      "       SS_METRICS_PERIOD=<s>         dump metrics every s seconds\n"
+      "       SS_RUNNER=inline|pooled:N     replica crypto/codec runner: N\n"
+      "                                     worker threads for HMAC + codec\n"
+      "                                     (default inline, single-threaded)\n"
+      "       SS_RX_BATCH=<n>               datagrams per recvmmsg call\n"
+      "                                     (default 32; 1 = recvfrom)\n");
+  return 2;
+}
+
+/// `v` as a base-10 integer in [lo, hi]. Anything else (empty, trailing
+/// junk, overflow, out of range) exits through usage(): a malformed numeric
+/// flag or environment value is a usage error, never a silent 0 or a
+/// wrapped value.
+long parse_int(const char* v, long lo, long hi) {
+  char* end = nullptr;
+  errno = 0;
+  long n = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n < lo || n > hi) {
+    std::exit(usage());
   }
-  return GroupConfig::for_protocol(protocol, f);
+  return n;
+}
+
+/// The numeric environment settings, checked like the numeric flags.
+struct EnvSettings {
+  long checkpoint_interval = 0;  ///< SS_CHECKPOINT_INTERVAL; 0: the default
+  long metrics_period_s = 0;     ///< SS_METRICS_PERIOD; 0: no periodic dump
+  long proactive_period_ms = 0;  ///< SS_PROACTIVE_PERIOD; 0: no reincarnation
+  std::optional<double> alarm_threshold;  ///< SS_ALARM_THRESHOLD
+};
+
+/// Parsed once, on first use; main() asks before any role starts, so a
+/// malformed value exits through usage() before anything is spawned.
+const EnvSettings& env_settings() {
+  static const EnvSettings settings = [] {
+    auto integer = [](const char* name, long lo, long hi) {
+      const char* v = std::getenv(name);
+      return v == nullptr ? 0 : parse_int(v, lo, hi);
+    };
+    EnvSettings env;
+    env.checkpoint_interval =
+        integer("SS_CHECKPOINT_INTERVAL", 1, 1'000'000'000);
+    env.metrics_period_s = integer("SS_METRICS_PERIOD", 0, 86'400);
+    env.proactive_period_ms = integer("SS_PROACTIVE_PERIOD", 0, 86'400'000);
+    if (const char* v = std::getenv("SS_ALARM_THRESHOLD")) {
+      char* end = nullptr;
+      errno = 0;
+      const double threshold = std::strtod(v, &end);
+      if (end == v || *end != '\0' || errno == ERANGE ||
+          !std::isfinite(threshold)) {
+        std::exit(usage());
+      }
+      env.alarm_threshold = threshold;
+    }
+    return env;
+  }();
+  return settings;
 }
 
 void install_stop_handler() {
@@ -218,15 +282,12 @@ void setup_observability(net::SocketTransport& transport,
     }
   });
 
-  if (const char* period = std::getenv("SS_METRICS_PERIOD")) {
-    SimTime every = seconds(std::strtol(period, nullptr, 10));
-    if (every > 0) {
-      schedule_every(transport, every, [tag] {
-        std::fprintf(stderr, "[%s] metrics: ", tag.c_str());
-        obs::Registry::instance().dump_json(stderr);
-        std::fputc('\n', stderr);
-      });
-    }
+  if (const long period = env_settings().metrics_period_s; period > 0) {
+    schedule_every(transport, seconds(period), [tag] {
+      std::fprintf(stderr, "[%s] metrics: ", tag.c_str());
+      obs::Registry::instance().dump_json(stderr);
+      std::fputc('\n', stderr);
+    });
   }
 }
 
@@ -310,11 +371,10 @@ int run_replica(const std::string& config, GroupConfig group,
   // SS_ALARM_THRESHOLD attaches a Monitor to the temperature point, so the
   // AE subsystem (alarm persisted + EventUpdate pushed to the HMI) is live
   // in socket mode — the fig8b alarm-storm bench drives this path.
-  if (const char* threshold = std::getenv("SS_ALARM_THRESHOLD")) {
+  if (const std::optional<double> threshold = env_settings().alarm_threshold) {
     master.handlers(temperature)
         .emplace<scada::MonitorHandler>(
-            scada::MonitorHandler::Condition::kAbove,
-            std::strtod(threshold, nullptr));
+            scada::MonitorHandler::Condition::kAbove, *threshold);
   }
 
   core::AdapterOptions adapter_options;
@@ -327,11 +387,8 @@ int run_replica(const std::string& config, GroupConfig group,
                           ClientId{core::kProxyFrontendClient});
 
   bft::ReplicaOptions replica_options;  // zero CPU costs: real CPUs are real
-  if (const char* interval = std::getenv("SS_CHECKPOINT_INTERVAL")) {
-    long parsed = std::strtol(interval, nullptr, 10);
-    if (parsed > 0) {
-      replica_options.checkpoint_interval = static_cast<std::uint64_t>(parsed);
-    }
+  if (const long interval = env_settings().checkpoint_interval; interval > 0) {
+    replica_options.checkpoint_interval = static_cast<std::uint64_t>(interval);
   }
   // Declared (and with SS_STATE_DIR, constructed) before the replica: the
   // storage must outlive it, and it must be present at construction — the
@@ -720,12 +777,10 @@ struct SuperviseOptions {
   int kill_replica = -1;     ///< SIGKILL this replica once...
   long kill_after_ms = 1500; ///< ...this long after launch
   std::uint32_t rounds = 0;  ///< extra HMI write rounds (load for the window)
-  long campaign_secs = 0;    ///< --campaign: rolling-fault soak this long
 };
 
-int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
-              const SuperviseOptions& sup) {
-  const GroupConfig group = group_from_env(f);
+int run_local(const char* self, const GroupConfig& group,
+              std::uint16_t base_port, const SuperviseOptions& sup) {
   if (base_port == 0) {
     // Derived from the pid so concurrent CI jobs on one host don't collide.
     base_port = static_cast<std::uint16_t>(40000 + (::getpid() % 8000) * 2);
@@ -764,12 +819,12 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
   }
   const char* state_root_env = std::getenv("SS_STATE_DIR");
   const std::string state_root = state_root_env ? state_root_env : "";
-  std::printf("deploy: f=%u n=%u base_port=%u config=%s%s%s\n", f, group.n,
-              base_port, config.c_str(),
+  std::printf("deploy: f=%u n=%u base_port=%u config=%s%s%s\n", group.f,
+              group.n, base_port, config.c_str(),
               state_root.empty() ? "" : " state_dir=",
               state_root.c_str());
 
-  const std::string fs = std::to_string(f);
+  const std::string fs = std::to_string(group.f);
   std::vector<pid_t> background;  // rtu + frontend; replicas tracked below
   background.push_back(spawn(self, {"rtu", "--config", config}));
   std::vector<pid_t> replica_pid(group.n, -1);
@@ -794,45 +849,20 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
   if (!sup.enabled) {
     ::waitpid(hmi, &status, 0);
   } else {
-    // The supervisor: reap dead replica processes and restart them with
-    // exponential backoff (200ms * 2^attempt, at most max_attempts per
-    // crash burst — sustained healthy uptime resets the budget, see
-    // core::RestartBudget), optionally SIGKILLing one replica on schedule
-    // to exercise the crash path. With SS_PROACTIVE_PERIOD=<ms> it also
-    // reincarnates one replica per period round-robin (proactive recovery:
-    // durable reboot + fresh key epoch), only when the whole group is up,
-    // and without charging the restart budget — a scheduled kill is not a
-    // crash. The HMI's exit ends the run as before.
-    std::vector<core::RestartBudget> budget(group.n);
-    for (std::uint32_t i = 0; i < group.n; ++i) budget[i].on_start(0);
-    std::vector<long> restart_at_ms(group.n, -1);
-    std::vector<bool> proactive_kill(group.n, false);
-    // --campaign: rolling process-level faults against the live group —
-    // SIGSTOP/SIGCONT freezes (the socket-mode stand-in for a gray,
-    // slow-but-correct replica) alternating with SIGKILL + supervised
-    // restart, one victim at a time, until the window closes; then every
-    // frozen process is resumed and the HMI's remaining write rounds are
-    // the post-heal recovery check.
-    const long campaign_ms = sup.campaign_secs * 1000;
-    long next_campaign_ms = 2000;
-    std::uint32_t campaign_phase = 0;
-    std::vector<long> stopped_until_ms(group.n, -1);
-    long proactive_period_ms = 0;
-    if (const char* period = std::getenv("SS_PROACTIVE_PERIOD")) {
-      proactive_period_ms = std::strtol(period, nullptr, 10);
-    }
-    long next_proactive_ms = proactive_period_ms;
-    std::uint32_t proactive_next = 0;
-    std::uint32_t reincarnations = 0;
+    // The supervisor: a thin fork/kill/waitpid loop around core::Supervisor,
+    // which decides every restart (exponential backoff, bounded attempts per
+    // crash burst) and, with SS_PROACTIVE_PERIOD, every proactive
+    // reincarnation. --kill-replica is a one-shot crash on top, charged to
+    // the victim's restart budget like any other. The HMI's exit ends the
+    // run.
+    const long proactive_period_ms = env_settings().proactive_period_ms;
+    core::Supervisor supervisor(group.n, proactive_period_ms);
     long elapsed_ms = 0;
     bool kill_fired = sup.kill_replica < 0;
     bool hmi_done = false;
     while (!hmi_done) {
       ::usleep(50 * 1000);
       elapsed_ms += 50;
-      for (std::uint32_t i = 0; i < group.n; ++i) {
-        if (replica_pid[i] > 0) budget[i].note_healthy(elapsed_ms);
-      }
       if (!kill_fired && elapsed_ms >= sup.kill_after_ms) {
         kill_fired = true;
         if (replica_pid[sup.kill_replica] > 0) {
@@ -841,80 +871,19 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
           ::kill(replica_pid[sup.kill_replica], SIGKILL);
         }
       }
-      if (proactive_period_ms > 0 && elapsed_ms >= next_proactive_ms) {
-        next_proactive_ms += proactive_period_ms;
-        // Only reincarnate with every replica up and no restart pending:
-        // the scheduler must never push the group past its fault budget.
-        bool all_up = true;
-        for (std::uint32_t i = 0; i < group.n; ++i) {
-          if (replica_pid[i] <= 0 || restart_at_ms[i] >= 0) all_up = false;
-        }
-        if (all_up) {
-          std::uint32_t victim = proactive_next;
-          proactive_next = (proactive_next + 1) % group.n;
-          ++reincarnations;
-          proactive_kill[victim] = true;
-          std::printf(
-              "deploy: proactive reincarnation #%u of replica/%u at %ld ms\n",
-              reincarnations, victim, elapsed_ms);
-          ::kill(replica_pid[victim], SIGKILL);
-        }
+      if (std::optional<std::uint32_t> victim =
+              supervisor.due_reincarnation(elapsed_ms)) {
+        std::printf(
+            "deploy: proactive reincarnation #%llu of replica/%u at %ld ms\n",
+            static_cast<unsigned long long>(supervisor.stats().reincarnations),
+            *victim, elapsed_ms);
+        if (replica_pid[*victim] > 0) ::kill(replica_pid[*victim], SIGKILL);
       }
-      if (campaign_ms > 0 && elapsed_ms < campaign_ms &&
-          elapsed_ms >= next_campaign_ms) {
-        next_campaign_ms += 3000;
-        // Inject only with the whole group healthy: one victim at a time
-        // keeps the soak within the f-fault budget.
-        bool all_up = true;
-        for (std::uint32_t i = 0; i < group.n; ++i) {
-          if (replica_pid[i] <= 0 || restart_at_ms[i] >= 0 ||
-              stopped_until_ms[i] >= 0) {
-            all_up = false;
-          }
-        }
-        if (all_up) {
-          std::uint32_t victim = campaign_phase % group.n;
-          switch (campaign_phase % 3) {
-            case 0:
-              std::printf("deploy: campaign freezes replica/%u for 800 ms "
-                          "at %ld ms\n",
-                          victim, elapsed_ms);
-              ::kill(replica_pid[victim], SIGSTOP);
-              stopped_until_ms[victim] = elapsed_ms + 800;
-              break;
-            case 1:
-              std::printf("deploy: campaign SIGKILLs replica/%u at %ld ms\n",
-                          victim, elapsed_ms);
-              proactive_kill[victim] = true;  // scheduled, not a crash
-              ::kill(replica_pid[victim], SIGKILL);
-              break;
-            case 2:
-              std::printf("deploy: campaign stalls replica/%u for 1500 ms "
-                          "at %ld ms\n",
-                          victim, elapsed_ms);
-              ::kill(replica_pid[victim], SIGSTOP);
-              stopped_until_ms[victim] = elapsed_ms + 1500;
-              break;
-          }
-          ++campaign_phase;
-        }
-      }
-      for (std::uint32_t i = 0; i < group.n; ++i) {
-        if (stopped_until_ms[i] >= 0 &&
-            (elapsed_ms >= stopped_until_ms[i] ||
-             (campaign_ms > 0 && elapsed_ms >= campaign_ms))) {
-          if (replica_pid[i] > 0) ::kill(replica_pid[i], SIGCONT);
-          stopped_until_ms[i] = -1;
-        }
-      }
-      for (std::uint32_t i = 0; i < group.n; ++i) {
-        if (restart_at_ms[i] >= 0 && elapsed_ms >= restart_at_ms[i]) {
-          restart_at_ms[i] = -1;
-          std::printf("deploy: supervisor restarts replica/%u (attempt %u)\n",
-                      i, budget[i].attempts());
-          spawn_replica(i);
-          budget[i].on_start(elapsed_ms);
-        }
+      for (std::uint32_t i : supervisor.due_restarts(elapsed_ms)) {
+        std::printf("deploy: supervisor restarts replica/%u (attempt %u)\n", i,
+                    supervisor.attempts(i));
+        spawn_replica(i);
+        supervisor.on_start(i, elapsed_ms);
       }
       int child_status = 0;
       pid_t pid;
@@ -927,16 +896,11 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
         for (std::uint32_t i = 0; i < group.n; ++i) {
           if (pid != replica_pid[i]) continue;
           replica_pid[i] = -1;
-          if (proactive_kill[i]) {
-            // Scheduled reincarnation: short fixed downtime, no budget
-            // charge (only real crashes count against it).
-            proactive_kill[i] = false;
-            restart_at_ms[i] = elapsed_ms + 200;
-          } else if (long backoff = budget[i].on_death(elapsed_ms);
-                     backoff < 0) {
+          const long delay = supervisor.on_death(i, elapsed_ms);
+          if (delay < 0) {
             std::fprintf(stderr,
                          "deploy: replica/%u died %u times, giving up on it\n",
-                         i, budget[i].attempts());
+                         i, supervisor.attempts(i));
           } else {
             std::printf(
                 "deploy: replica/%u %s, restart in %ld ms\n", i,
@@ -945,23 +909,16 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
                        std::to_string(WTERMSIG(child_status)))
                           .c_str()
                     : "exited",
-                backoff);
-            restart_at_ms[i] = elapsed_ms + backoff;
+                delay);
           }
           break;
         }
       }
     }
-    // A SIGSTOPped process never sees the SIGTERM below; resume any
-    // leftover freeze before teardown.
-    for (std::uint32_t i = 0; i < group.n; ++i) {
-      if (stopped_until_ms[i] >= 0 && replica_pid[i] > 0) {
-        ::kill(replica_pid[i], SIGCONT);
-      }
-    }
     if (proactive_period_ms > 0) {
-      std::printf("deploy: %u proactive reincarnations completed\n",
-                  reincarnations);
+      std::printf("deploy: %llu proactive reincarnations completed\n",
+                  static_cast<unsigned long long>(
+                      supervisor.stats().reincarnations));
     }
   }
 
@@ -1003,50 +960,6 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
   }
   std::printf("deploy: %s\n", code == 0 ? "SUCCESS" : "FAILURE");
   return code;
-}
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: deploy local [--f N] [--base-port P] [--supervise]\n"
-      "                    [--kill-replica I] [--kill-after MS] [--rounds N]\n"
-      "                    [--campaign SECS]  rolling-fault soak: SIGSTOP\n"
-      "                                      freezes + SIGKILL/restart cycles\n"
-      "                                      until SECS elapse, then heal;\n"
-      "                                      the HMI's write rounds are the\n"
-      "                                      verdict (implies --supervise)\n"
-      "       deploy config [--f N] [--base-port P]\n"
-      "       deploy replica --id I [--f N] --config FILE\n"
-      "       deploy frontend [--f N] --config FILE\n"
-      "       deploy hmi [--f N] --config FILE [--rounds N]\n"
-      "       deploy rtu --config FILE\n"
-      "env:   SS_STATE_DIR=<dir>            durable replica state (WAL +\n"
-      "                                     checkpoints) under <dir>/replica-<id>\n"
-      "       SS_CHECKPOINT_INTERVAL=<n>    checkpoint every n decisions\n"
-      "       SS_PROACTIVE_PERIOD=<ms>      with --supervise: reincarnate one\n"
-      "                                     replica per period round-robin\n"
-      "                                     (durable reboot + fresh key epoch)\n"
-      "       SS_ALARM_THRESHOLD=<v>        attach a Monitor (alarm above v)\n"
-      "                                     to the temperature point\n"
-      "       SS_RUNNER=inline|pooled:N     replica crypto/codec runner: N\n"
-      "                                     worker threads for HMAC + codec\n"
-      "                                     (default inline, single-threaded)\n"
-      "       SS_RX_BATCH=<n>               datagrams per recvmmsg call\n"
-      "                                     (default 32; 1 = recvfrom)\n");
-  return 2;
-}
-
-/// `v` as a base-10 integer in [lo, hi]. Anything else (empty, trailing
-/// junk, overflow, out of range) exits through usage(): a malformed numeric
-/// flag is a usage error, never a silent 0 or a wrapped value.
-long parse_int(const char* v, long lo, long hi) {
-  char* end = nullptr;
-  errno = 0;
-  long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || n < lo || n > hi) {
-    std::exit(usage());
-  }
-  return n;
 }
 
 }  // namespace
@@ -1094,28 +1007,23 @@ int main(int argc, char** argv) {
       sup.kill_after_ms = parse_int(value, 0, 86'400'000);
     } else if (flag == "--rounds") {
       sup.rounds = static_cast<std::uint32_t>(parse_int(value, 0, 1'000'000));
-    } else if (flag == "--campaign") {
-      sup.campaign_secs = parse_int(value, 0, 86'400);
     } else {
       return usage();
     }
   }
-  if (sup.campaign_secs > 0) {
-    // A campaign is a supervised soak: restarts must work, and the HMI has
-    // to keep writing through the whole window (plus a post-heal tail that
-    // doubles as the recovery check).
-    sup.enabled = true;
-    if (sup.rounds == 0) {
-      sup.rounds = static_cast<std::uint32_t>(2 * sup.campaign_secs + 8);
-    }
-  }
+  // Only the supervisor fires --kill-replica; without it the flag would be
+  // silently ignored.
+  if (sup.kill_replica >= 0 && !sup.enabled) return usage();
+  env_settings();  // a malformed numeric SS_* value exits here, via usage()
 
   try {
-    const GroupConfig group = group_from_env(f);
+    // SS_PROTOCOL propagates to spawned children, so `deploy local`, each
+    // replica, the frontend and the HMI all agree on n.
+    const GroupConfig group = GroupConfig::for_protocol(protocol_from_env(), f);
     if (id >= group.n || sup.kill_replica >= static_cast<int>(group.n)) {
       return usage();
     }
-    if (role == "local") return run_local(argv[0], f, base_port, sup);
+    if (role == "local") return run_local(argv[0], group, base_port, sup);
     if (role == "config") {
       std::fputs(make_resolver(group.n, "127.0.0.1",
                                base_port ? base_port : 47000)

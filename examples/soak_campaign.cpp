@@ -60,13 +60,11 @@ void print_report(const chaos::CampaignReport& report) {
 
 int main(int argc, char** argv) {
   chaos::CampaignOptions options;
-  if (const char* name = std::getenv("SS_PROTOCOL")) {
-    try {
-      options.protocol = parse_protocol(name);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "SS_PROTOCOL: %s\n", e.what());
-      return 2;
-    }
+  try {
+    options.protocol = protocol_from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "SS_PROTOCOL: %s\n", e.what());
+    return 2;
   }
   bool both = true;  // default: soak both example plants back to back
   bool do_minimize = false;

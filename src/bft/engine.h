@@ -66,7 +66,7 @@ struct ReplicaStats {
 
 /// The quorum structure an engine operates under, for callers that size
 /// groups or reason about fault budgets without protocol knowledge
-/// (RecoveryScheduler, deploy --supervise, tests).
+/// (tests).
 struct QuorumConfig {
   std::uint32_t n = 0;
   std::uint32_t f = 0;

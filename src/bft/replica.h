@@ -91,9 +91,8 @@ class ReplicaCore final : private EngineHost {
   const GroupConfig& group() const { return group_; }
   /// Agreement protocol this replica runs (fixed at construction).
   Protocol protocol() const { return engine_->protocol(); }
-  /// The engine's quorum structure — what group-size-aware callers
-  /// (RecoveryScheduler, deploy --supervise) should derive n and the fault
-  /// budget from instead of assuming n = 3f + 1.
+  /// The engine's quorum structure — what group-size-aware callers should
+  /// derive n and the fault budget from instead of assuming n = 3f + 1.
   QuorumConfig quorum_config() const { return engine_->quorums(); }
   /// Monotone view counter (PBFT regency / MinBFT view).
   std::uint64_t regency() const { return engine_->view(); }

@@ -377,14 +377,6 @@ class CampaignRun {
   SimTime worst_recovery_ = 0;
 };
 
-FaultScript subset(const FaultScript& script,
-                   const std::vector<std::size_t>& kept) {
-  FaultScript out;
-  out.actions.reserve(kept.size());
-  for (std::size_t index : kept) out.actions.push_back(script.actions[index]);
-  return out;
-}
-
 }  // namespace
 
 const char* plant_name(Plant plant) {
@@ -523,38 +515,15 @@ CampaignReport run_campaign(const CampaignOptions& options) {
 
 CampaignMinimizeResult minimize_campaign(const CampaignOptions& options) {
   FaultScript full = plan_campaign(options).flatten();
-  std::vector<std::size_t> kept(full.actions.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) kept[i] = i;
-
-  CampaignReport last = run_campaign_script(options, full);
-  // Chunked ddmin: campaign scripts run to dozens of actions and each
-  // replay costs a full soak, so drop big contiguous chunks first and fall
-  // back to single actions only at the end.
-  for (std::size_t len = std::max<std::size_t>(kept.size() / 2, 1);;
-       len /= 2) {
-    std::size_t i = 0;
-    while (i < kept.size()) {
-      std::vector<std::size_t> candidate;
-      candidate.reserve(kept.size() - std::min(len, kept.size() - i));
-      for (std::size_t j = 0; j < kept.size(); ++j) {
-        if (j < i || j >= i + len) candidate.push_back(kept[j]);
-      }
-      CampaignReport report = run_campaign_script(options,
-                                                  subset(full, candidate));
-      if (!report.ok()) {
-        kept = std::move(candidate);
-        last = std::move(report);
-      } else {
-        i += len;
-      }
-    }
-    if (len == 1) break;
-  }
-
   CampaignMinimizeResult result;
-  result.minimal = subset(full, kept);
-  result.kept = std::move(kept);
-  result.report = std::move(last);
+  result.report = run_campaign_script(options, full);
+  result.kept = minimize_script(full, [&](const FaultScript& candidate) {
+    CampaignReport report = run_campaign_script(options, candidate);
+    if (report.ok()) return false;
+    result.report = std::move(report);
+    return true;
+  });
+  result.minimal = full.subset(result.kept);
   return result;
 }
 

@@ -114,10 +114,8 @@ struct CampaignMinimizeResult {
 };
 
 /// Shrinks a failing campaign (run_campaign(options) must report
-/// violations) to a minimal failing action subset. Campaign scripts are an
-/// order of magnitude longer than swarm scripts, so this uses chunked
-/// ddmin — halves, quarters, ... then single actions — instead of the
-/// swarm's single-action greedy loop.
+/// violations) to a minimal failing action subset of the flattened script
+/// with minimize_script.
 CampaignMinimizeResult minimize_campaign(const CampaignOptions& options);
 
 /// One-line replay command for examples/soak_campaign.

@@ -418,6 +418,38 @@ std::string FaultScript::describe() const {
   return out.empty() ? "(no faults)" : out;
 }
 
+FaultScript FaultScript::subset(const std::vector<std::size_t>& kept) const {
+  FaultScript out;
+  out.actions.reserve(kept.size());
+  for (std::size_t index : kept) out.actions.push_back(actions.at(index));
+  return out;
+}
+
+std::vector<std::size_t> minimize_script(
+    const FaultScript& script,
+    const std::function<bool(const FaultScript&)>& fails) {
+  std::vector<std::size_t> kept(script.actions.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) kept[i] = i;
+  for (std::size_t len = std::max<std::size_t>(kept.size() / 2, 1);;
+       len /= 2) {
+    std::size_t i = 0;
+    while (i < kept.size()) {
+      std::vector<std::size_t> candidate;
+      candidate.reserve(kept.size() - std::min(len, kept.size() - i));
+      for (std::size_t j = 0; j < kept.size(); ++j) {
+        if (j < i || j >= i + len) candidate.push_back(kept[j]);
+      }
+      if (fails(script.subset(candidate))) {
+        kept = std::move(candidate);
+      } else {
+        i += len;
+      }
+    }
+    if (len == 1) break;
+  }
+  return kept;
+}
+
 FaultScript generate_script(ScenarioFamily family, const ScriptParams& params,
                             std::uint64_t seed) {
   // Mix the family into the seed so the same seed gives independent scripts

@@ -15,7 +15,9 @@
 // sabotages in swarm.h, not of the generator.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -92,7 +94,19 @@ struct FaultScript {
   std::vector<FaultAction> actions;
 
   std::string describe() const;
+  /// The actions at the indices `kept`, in that order.
+  FaultScript subset(const std::vector<std::size_t>& kept) const;
 };
+
+/// Shrinks a failing script to a minimal failing subset of its actions by
+/// chunked delta debugging (ddmin): it drops contiguous chunks of half the
+/// kept actions, then quarters, ... then single actions, and keeps every
+/// removal after which `fails` still holds. Big chunks go first because
+/// each call of `fails` replays a whole run. `fails(script)` must hold.
+/// Returns the kept indices into `script`, in order.
+std::vector<std::size_t> minimize_script(
+    const FaultScript& script,
+    const std::function<bool(const FaultScript&)>& fails);
 
 struct ScriptParams {
   GroupConfig group;

@@ -257,14 +257,6 @@ class ChaosRun {
   std::uint64_t write_counter_ = 0;
 };
 
-FaultScript subset(const FaultScript& script,
-                   const std::vector<std::size_t>& kept) {
-  FaultScript out;
-  out.actions.reserve(kept.size());
-  for (std::size_t index : kept) out.actions.push_back(script.actions[index]);
-  return out;
-}
-
 }  // namespace
 
 std::string RunReport::summary() const {
@@ -353,34 +345,16 @@ MinimizeResult minimize(const ChaosOptions& options) {
   params.has_rtu = true;
   FaultScript full = generate_script(options.family, params, options.seed);
 
-  std::vector<std::size_t> kept(full.actions.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) kept[i] = i;
-
-  RunReport last = run_script(options, full);
-  // Greedy delta-debugging: repeatedly drop any single action whose removal
-  // keeps the run failing, until no action can be dropped. Scripts are small
-  // (<= ~10 actions), so the O(k^2) replays stay cheap and deterministic.
-  bool shrunk = true;
-  while (shrunk && !kept.empty()) {
-    shrunk = false;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      std::vector<std::size_t> candidate = kept;
-      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-      RunReport report = run_script(options, subset(full, candidate));
-      if (!report.ok()) {
-        kept = std::move(candidate);
-        last = std::move(report);
-        shrunk = true;
-        break;
-      }
-    }
-  }
-
   MinimizeResult result;
-  result.minimal = subset(full, kept);
-  result.kept = kept;
-  result.report = std::move(last);
-  result.repro = repro_command(options, &kept);
+  result.report = run_script(options, full);
+  result.kept = minimize_script(full, [&](const FaultScript& candidate) {
+    RunReport report = run_script(options, candidate);
+    if (report.ok()) return false;
+    result.report = std::move(report);
+    return true;
+  });
+  result.minimal = full.subset(result.kept);
+  result.repro = repro_command(options, &result.kept);
   return result;
 }
 

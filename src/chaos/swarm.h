@@ -91,7 +91,7 @@ struct MinimizeResult {
 };
 
 /// Shrinks a failing run (run_chaos(options) must report violations) to a
-/// minimal failing subset of script actions by greedy delta-debugging.
+/// minimal failing subset of script actions with minimize_script.
 MinimizeResult minimize(const ChaosOptions& options);
 
 /// Renders the deterministic one-line repro command for a run; `kept`

@@ -1,5 +1,7 @@
 #include "common/config.h"
 
+#include <cstdlib>
+
 namespace ss {
 
 const char* protocol_name(Protocol p) {
@@ -17,6 +19,11 @@ Protocol parse_protocol(const std::string& name) {
   if (name == "minbft") return Protocol::kMinBft;
   throw std::invalid_argument("unknown protocol: \"" + name +
                               "\" (expected pbft or minbft)");
+}
+
+Protocol protocol_from_env() {
+  const char* name = std::getenv("SS_PROTOCOL");
+  return name != nullptr ? parse_protocol(name) : Protocol::kPbft;
 }
 
 GroupConfig::GroupConfig(std::uint32_t n_in, std::uint32_t f_in)

@@ -33,6 +33,10 @@ const char* protocol_name(Protocol p);
 /// std::invalid_argument on anything else.
 Protocol parse_protocol(const std::string& name);
 
+/// The protocol SS_PROTOCOL names, kPbft when it is unset. Throws
+/// std::invalid_argument like parse_protocol on any other value.
+Protocol protocol_from_env();
+
 /// Static view of the replica group: n = 3f + 1 replicas tolerating f
 /// Byzantine faults (the paper's system model, §IV-B), or n = 2f + 1 when
 /// running the MinBFT-style trusted-counter protocol.

@@ -2,23 +2,16 @@
 // of both plants (honoring SS_PROTOCOL like the chaos smoke), the liveness
 // watchdog firing on an artificially wedged deployment, same-seed
 // reproducibility of a failing campaign, and the chunked delta-debug
-// minimizer on campaign-length scripts.
+// minimizer on campaign-length and synthetic scripts.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "chaos/campaign.h"
 
 namespace ss::chaos {
 namespace {
-
-Protocol protocol_from_env() {
-  if (const char* env = std::getenv("SS_PROTOCOL")) {
-    return parse_protocol(env);
-  }
-  return Protocol::kPbft;
-}
 
 TEST(CampaignPlan, SameSeedSamePlan) {
   CampaignOptions options;
@@ -170,6 +163,37 @@ TEST(CampaignMinimize, WedgeFailureShrinksToEmptyScript) {
   std::string repro = campaign_repro_command(options);
   EXPECT_NE(repro.find("--plant=power-grid"), std::string::npos);
   EXPECT_NE(repro.find("--seed=0x15"), std::string::npos);
+}
+
+// The one script minimizer on a synthetic failure: the "run" fails iff
+// actions 3 and 7 are both kept, so ddmin must keep exactly those two.
+TEST(MinimizeScript, KeepsExactlyTheActionsTheFailureNeeds) {
+  FaultScript script;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    FaultAction action;
+    action.count = i;  // tags each action with its index
+    script.actions.push_back(action);
+  }
+  auto fails = [](const FaultScript& candidate) {
+    bool has3 = false;
+    bool has7 = false;
+    for (const FaultAction& action : candidate.actions) {
+      has3 |= action.count == 3;
+      has7 |= action.count == 7;
+    }
+    return has3 && has7;
+  };
+  const std::vector<std::size_t> kept = minimize_script(script, fails);
+  EXPECT_EQ(kept, (std::vector<std::size_t>{3, 7}));
+  const FaultScript minimal = script.subset(kept);
+  ASSERT_EQ(minimal.actions.size(), 2u);
+  EXPECT_EQ(minimal.actions[0].count, 3u);
+  EXPECT_EQ(minimal.actions[1].count, 7u);
+
+  // A failure that needs no action shrinks to the empty script.
+  EXPECT_TRUE(
+      minimize_script(script, [](const FaultScript&) { return true; })
+          .empty());
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // determinism of the whole pipeline.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "chaos/invariant_checker.h"
 #include "chaos/swarm.h"
@@ -147,10 +146,7 @@ TEST(ChaosSweep, MinBftCrashRestartF1) {
 
 // Honors SS_PROTOCOL so CI can matrix the same smoke over both engines.
 TEST(ChaosSmoke, SixtyFourSeeds) {
-  Protocol protocol = Protocol::kPbft;
-  if (const char* env = std::getenv("SS_PROTOCOL")) {
-    protocol = parse_protocol(env);
-  }
+  const Protocol protocol = protocol_from_env();
   for (ScenarioFamily family : kAllFamilies) {
     expect_clean_sweep(family, 1, 1000, 12, protocol);
   }

@@ -1,4 +1,4 @@
-// Proactive-recovery edge cases the scheduler test doesn't cover: durable
+// Proactive-recovery edge cases the supervisor test doesn't cover: durable
 // reincarnation of the *current leader* mid-view (must trigger a clean view
 // change, not a stall), the session-key epoch handover window (old-epoch
 // traffic accepted inside the window, rejected after it), the supervisor's
@@ -7,7 +7,7 @@
 
 #include "bft/messages.h"
 #include "core/replicated_deployment.h"
-#include "core/restart_budget.h"
+#include "core/supervisor.h"
 #include "crypto/keychain.h"
 #include "storage/env.h"
 #include "storage/replica_storage.h"
