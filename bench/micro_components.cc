@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "bft/dedup_table.h"
 #include "bft/messages.h"
 #include "core/push_voter.h"
 #include "crypto/hmac.h"
@@ -14,6 +15,7 @@
 #include "crypto/sha256.h"
 #include "obs/trace.h"
 #include "scada/handlers.h"
+#include "scada/historian.h"
 #include "scada/master.h"
 #include "scada/messages.h"
 #include "scada/storage.h"
@@ -231,6 +233,43 @@ void BM_TracerRecord(benchmark::State& state) {
   tracer.reset();
 }
 BENCHMARK(BM_TracerRecord);
+
+/// One Historian::record into an item whose 4096-sample window is full: the
+/// archive append the Master makes per accepted update, eviction included.
+void BM_HistorianRecord(benchmark::State& state) {
+  scada::Historian historian;
+  const ItemId item{1};
+  std::int64_t k = 0;
+  for (; k < 4096; ++k) {
+    historian.record(item, k, scada::Variant{static_cast<double>(k)},
+                     scada::Quality::kGood);
+  }
+  for (auto _ : state) {
+    historian.record(item, k, scada::Variant{static_cast<double>(k)},
+                     scada::Quality::kGood);
+    ++k;
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(historian.total_samples());
+}
+BENCHMARK(BM_HistorianRecord);
+
+/// One DedupTable::contains against a client's full 4096-entry window: the
+/// lookup a replica makes per client request. Probes alternate between an
+/// executed number and a fresh one above the window.
+void BM_DedupLookup(benchmark::State& state) {
+  bft::DedupTable table;
+  const ClientId client{1};
+  for (std::uint64_t s = 1; s <= 2 * bft::DedupTable::kWindow; ++s) {
+    table.insert(client, RequestId{s});
+  }
+  std::uint64_t probe = 0;
+  for (auto _ : state) {
+    probe = (probe * 2654435761u + 1) % (3 * bft::DedupTable::kWindow);
+    benchmark::DoNotOptimize(table.contains(client, RequestId{probe}));
+  }
+}
+BENCHMARK(BM_DedupLookup);
 
 }  // namespace
 

@@ -300,7 +300,7 @@ void ReplicaCore::handle_client_request(const Envelope& env,
     return;
   }
 
-  if (already_executed(req.client, req.sequence)) {
+  if (executed_.contains(req.client, req.sequence)) {
     // Retransmission of a completed request: resend the cached reply.
     resend_cached_reply(req.client, req.sequence);
     return;
@@ -308,19 +308,6 @@ void ReplicaCore::handle_client_request(const Envelope& env,
 
   enqueue_pending(std::move(req));
   engine_->on_request_ready();
-}
-
-bool ReplicaCore::already_executed(ClientId client, RequestId seq) const {
-  auto it = executed_.find(client.value);
-  return it != executed_.end() && it->second.count(seq.value) > 0;
-}
-
-void ReplicaCore::remember_executed(ClientId client, RequestId seq) {
-  auto& seqs = executed_[client.value];
-  seqs.insert(seq.value);
-  // Bound memory: forget the oldest entries; a client that retransmits a
-  // request this stale has long since failed its own timeout.
-  while (seqs.size() > 4096) seqs.erase(seqs.begin());
 }
 
 void ReplicaCore::enqueue_pending(ClientRequest req) {
@@ -360,7 +347,7 @@ void ReplicaCore::arm_suspect_timer(ClientId client, RequestId seq) {
   if (existing != suspect_timers_.end() && existing->second.active()) return;
 
   auto still_pending = [this, client, seq] {
-    if (crashed_ || already_executed(client, seq)) return false;
+    if (crashed_ || executed_.contains(client, seq)) return false;
     auto cit = pending_index_.find(client.value);
     return cit != pending_index_.end() && cit->second.count(seq.value) > 0;
   };
@@ -419,7 +406,7 @@ void ReplicaCore::execute_batch(ConsensusId cid, const Batch& batch) {
   std::uint32_t order = 0;
   for (const ClientRequest& req : batch.requests) {
     erase_pending(req.client, req.sequence);
-    if (already_executed(req.client, req.sequence)) {
+    if (executed_.contains(req.client, req.sequence)) {
       ++stats_.requests_deduped;
       ++order;
       continue;
@@ -432,7 +419,7 @@ void ReplicaCore::execute_batch(ConsensusId cid, const Batch& batch) {
     ctx.request = req.sequence;
 
     Bytes result = app_.execute_ordered(ctx, req.payload);
-    remember_executed(req.client, req.sequence);
+    executed_.insert(req.client, req.sequence);
     ++stats_.requests_executed;
 
     ClientReply reply;
@@ -494,17 +481,7 @@ Bytes ReplicaCore::encode_full_snapshot() const {
   Writer w(app_snapshot.size() + 64);
   w.blob(app_snapshot);
 
-  std::vector<std::uint64_t> clients;
-  clients.reserve(executed_.size());
-  for (const auto& [client, _] : executed_) clients.push_back(client);
-  std::sort(clients.begin(), clients.end());
-  w.varint(clients.size());
-  for (std::uint64_t client : clients) {
-    const auto& seqs = executed_.at(client);
-    w.varint(client);
-    w.varint(seqs.size());
-    for (std::uint64_t s : seqs) w.varint(s);
-  }
+  executed_.encode(w);
 
   w.varint(reply_cache_.size());
   for (const auto& [client, replies] : reply_cache_) {
@@ -523,14 +500,7 @@ void ReplicaCore::apply_full_snapshot(ByteView data) {
   Reader r(data);
   Bytes app_snapshot = r.blob();
 
-  std::unordered_map<std::uint64_t, std::set<std::uint64_t>> executed;
-  std::uint64_t nclients = r.varint();
-  for (std::uint64_t i = 0; i < nclients; ++i) {
-    std::uint64_t client = r.varint();
-    std::uint64_t nseqs = r.varint();
-    auto& seqs = executed[client];
-    for (std::uint64_t j = 0; j < nseqs; ++j) seqs.insert(r.varint());
-  }
+  DedupTable executed = DedupTable::decode(r);
 
   std::map<std::uint64_t, std::map<std::uint64_t, CachedReply>> replies;
   std::uint64_t ncache = r.varint();
@@ -711,7 +681,7 @@ void ReplicaCore::handle_state_reply(const StateReply& rep) {
            static_cast<unsigned long>(last_decided_.value));
     // Drop pending requests that the snapshot already covers.
     for (auto it = pending_.begin(); it != pending_.end();) {
-      if (already_executed(it->client, it->sequence)) {
+      if (executed_.contains(it->client, it->sequence)) {
         ClientId c = it->client;
         RequestId s = it->sequence;
         ++it;

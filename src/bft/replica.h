@@ -24,6 +24,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "bft/dedup_table.h"
 #include "bft/engine.h"
 #include "bft/executable.h"
 #include "bft/messages.h"
@@ -269,8 +270,6 @@ class ReplicaCore final : private EngineHost {
 
   // --- client requests ----------------------------------------------------
   void handle_client_request(const Envelope& env, Prevalidated& pre);
-  bool already_executed(ClientId client, RequestId seq) const;
-  void remember_executed(ClientId client, RequestId seq);
   void enqueue_pending(ClientRequest req);
   void erase_pending(ClientId client, RequestId seq);
   void arm_suspect_timer(ClientId client, RequestId seq);
@@ -308,7 +307,7 @@ class ReplicaCore final : private EngineHost {
   std::list<ClientRequest> pending_;
   std::unordered_map<std::uint64_t, std::map<std::uint64_t,
       std::list<ClientRequest>::iterator>> pending_index_;
-  std::unordered_map<std::uint64_t, std::set<std::uint64_t>> executed_;
+  DedupTable executed_;
 
   /// Cached reply payloads for retransmitting clients. Part of the state
   /// snapshot: a replica brought up to date by state transfer must be able

@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/types.h"
@@ -96,6 +97,52 @@ class Writer {
   }
 
   Bytes buf_;
+};
+
+/// An encoding kept as pieces, in order: bytes written through writer()
+/// and views of bytes that stay where they lie (each valid until its owner
+/// changes). Copying the pieces out once, or hashing them one by one, never
+/// materialises a second copy of a large log.
+class Pieces {
+ public:
+  /// `reserve` sizes the buffer for the owned bytes written first.
+  explicit Pieces(std::size_t reserve = 0) : tail_(reserve) {}
+
+  /// Appends owned bytes after every piece so far.
+  Writer& writer() { return tail_; }
+  /// Appends a view after every piece so far.
+  void view(ByteView bytes) {
+    seal();
+    size_ += bytes.size();
+    views_.push_back(bytes);
+  }
+  std::size_t size() const { return size_ + tail_.size(); }
+  /// Calls f(ByteView) on every piece in order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (ByteView piece : views_) f(piece);
+    if (tail_.size() > 0) f(ByteView(tail_.bytes()));
+  }
+  /// Appends every piece to `w`, in order.
+  void write_to(Writer& w) const {
+    for_each([&w](ByteView piece) { w.raw(piece); });
+  }
+
+ private:
+  void seal() {
+    if (tail_.size() == 0) return;
+    owned_.push_back(std::move(tail_).take());
+    tail_ = Writer();
+    size_ += owned_.back().size();
+    views_.push_back(owned_.back());
+  }
+
+  /// Sealed owned pieces. views_ point into their buffers, which moving a
+  /// Bytes (as this vector does when it grows) leaves in place.
+  std::vector<Bytes> owned_;
+  std::vector<ByteView> views_;
+  std::size_t size_ = 0;  // bytes in views_
+  Writer tail_;
 };
 
 class Reader {

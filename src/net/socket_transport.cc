@@ -144,7 +144,8 @@ class SocketTimerImpl final : public Timer::Impl {
 SocketTransport::SocketTransport(Resolver resolver, SocketOptions options)
     : resolver_(std::move(resolver)),
       rx_ring_(std::make_unique<RxRing>(
-          std::max<std::size_t>(options.rx_batch, 1))) {
+          std::max<std::size_t>(options.rx_batch, 1))),
+      rx_batch_size_(obs::Registry::instance().histogram("net.rx_batch_size")) {
   epoch_ = monotonic_ns();
   obs_source_ = obs::Registry::instance().add_source(
       "transport", [this](const obs::Registry::Emit& emit) {
@@ -469,7 +470,7 @@ void SocketTransport::read_socket_single(const std::string& name, int fd) {
     }
     it->second.consecutive_recv_errors = 0;
     ++stats_.rx_batches;
-    obs::Registry::instance().histogram("net.rx_batch_size").record(1);
+    rx_batch_size_.record(1);
     ++stats_.datagrams_received;
     stats_.bytes_received += static_cast<std::uint64_t>(n);
     handle_datagram(ByteView(rx_ring_->slot(0), static_cast<std::size_t>(n)));
@@ -504,7 +505,7 @@ void SocketTransport::read_socket_batched(const std::string& name, int fd) {
     if (n == 0) return;
     it->second.consecutive_recv_errors = 0;
     ++stats_.rx_batches;
-    obs::Registry::instance().histogram("net.rx_batch_size").record(n);
+    rx_batch_size_.record(n);
     for (int i = 0; i < n; ++i) {
       std::size_t len = ring.hdrs[i].msg_len;
       ++stats_.datagrams_received;

@@ -216,6 +216,8 @@ class SocketTransport final : public Transport {
   bool recvmmsg_ok_ = true;
   SocketStats stats_;
   obs::SourceHandle obs_source_;
+  /// "net.rx_batch_size", resolved once: recorded per RX batch.
+  obs::Histogram& rx_batch_size_;
 
 #ifndef NDEBUG
   /// poll_once binds the loop to its first caller; later calls (and the

@@ -241,9 +241,9 @@ void Registry::dump_json(std::FILE* out) const {
 }
 
 void Registry::reset() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
+  for (auto& [name, value] : counters_) value = 0;
+  for (auto& [name, value] : gauges_) value = 0;
+  for (auto& [name, histogram] : histograms_) histogram.reset();
 }
 
 }  // namespace ss::obs

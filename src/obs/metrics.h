@@ -106,6 +106,9 @@ class Registry {
 
   static Registry& instance();
 
+  /// Created on first access by name. The reference stays valid for the
+  /// process's lifetime, so hot paths resolve an instrument once and keep
+  /// it as a handle.
   std::uint64_t& counter(const std::string& name);
   double& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
@@ -124,7 +127,9 @@ class Registry {
   std::string json() const;
   void dump_json(std::FILE* out) const;
 
-  /// Clears owned counters/gauges/histograms. Sources stay registered
+  /// Zeroes owned counters/gauges/histograms in place, so a reference a
+  /// component took from counter()/gauge()/histogram() stays valid and
+  /// keeps recording into what json() reports. Sources stay registered
   /// (their backing structs belong to the components).
   void reset();
 

@@ -37,7 +37,7 @@ void FlightRecorder::capture_logs() {
 
 FlightRecorder::Window FlightRecorder::window() const {
   const Tracer& tracer = Tracer::instance();
-  const std::size_t spans = tracer.spans().size();
+  const std::size_t spans = tracer.span_count();
   Window w;
   w.first = tracer.completed() - spans;
   // Spans completed before clear() stay in the Tracer but not in the dump.
@@ -68,7 +68,8 @@ FlightRecorder::Window FlightRecorder::window() const {
 std::size_t FlightRecorder::size() const { return window().events; }
 
 std::string FlightRecorder::dump_string() const {
-  const std::deque<Span>& spans = Tracer::instance().spans();
+  const Tracer& tracer = Tracer::instance();
+  const std::size_t spans = tracer.span_count();
   Window w = window();
   std::string out;
   char line[160];
@@ -81,17 +82,17 @@ std::string FlightRecorder::dump_string() const {
                   static_cast<double>(at) / kNanosPerMilli);
     out += line;
   };
-  while (w.span < spans.size() || w.note < ring_.size()) {
+  while (w.span < spans || w.note < ring_.size()) {
     // A note precedes span number j iff fewer than j + 1 spans had
     // completed when it arrived.
     if (w.note < ring_.size() &&
-        (w.span == spans.size() ||
+        (w.span == spans ||
          ring_[w.note].spans_before <= w.first + w.span)) {
       const Entry& e = ring_[w.note++];
       stamp(e.at);
       out += e.text;
     } else {
-      const Span& span = spans[w.span++];
+      const Span span = tracer.span(w.span++);
       stamp(span.end);
       std::snprintf(line, sizeof(line),
                     "span op=%" PRIu64 " stage=%s component=%s dur=%" PRId64
@@ -124,48 +125,57 @@ Tracer& Tracer::instance() {
   return tracer;
 }
 
+std::uint32_t Tracer::intern(const char* name) {
+  const std::string_view text(name);
+  if (const auto it = index_.find(text); it != index_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  names_.push_back(Name{std::string(text), nullptr});
+  index_.emplace(names_.back().text, id);
+  return id;
+}
+
 void Tracer::begin(OpId op, const char* stage, const char* component) {
   if (op.value == 0) return;  // unattributed traffic (e.g. subscribes)
-  const Key key{op.value, stage};
+  const Key key{op.value, intern(stage)};
   const std::uint64_t seq = next_seq_++;
-  open_[key] = Open{component, now(), seq};
+  open_[key] = Open{intern(component), now(), seq};
   open_order_.emplace_back(key, seq);
   evict_open_if_needed();
 }
 
 void Tracer::end(OpId op, const char* stage) {
   if (op.value == 0) return;
-  const auto it = open_.find(Key{op.value, stage});
+  const auto name = index_.find(std::string_view(stage));
+  if (name == index_.end()) return;
+  const auto it = open_.find(Key{op.value, name->second});
   if (it == open_.end()) return;
-  Span span;
-  span.op = op.value;
-  span.stage = stage;
-  span.component = it->second.component;
-  span.begin = it->second.begin;
-  span.end = now();
+  const Record record{op.value, it->second.begin, now(), name->second,
+                      it->second.component};
   open_.erase(it);
-  finish(span);
+  finish(record);
 }
 
 void Tracer::record(OpId op, const char* stage, const char* component,
                     SimTime begin, SimTime end) {
   if (op.value == 0) return;
-  Span span;
-  span.op = op.value;
-  span.stage = stage;
-  span.component = component;
-  span.begin = begin;
-  span.end = end;
-  finish(span);
+  finish(Record{op.value, begin, end, intern(stage), intern(component)});
 }
 
-void Tracer::finish(const Span& span) {
-  if (spans_.size() >= capacity_) spans_.pop_front();
-  spans_.push_back(span);
+void Tracer::finish(const Record& record) {
+  if (ring_.size() < capacity_) {
+    if (ring_.empty()) ring_.reserve(capacity_);
+    ring_.push_back(record);
+  } else {
+    ring_[head_] = record;
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+  }
   ++completed_;
-  Registry::instance()
-      .histogram(std::string("stage/") + span.stage)
-      .record(span.duration());
+  Name& stage = names_[record.stage];
+  if (stage.stage_histogram == nullptr) {
+    stage.stage_histogram =
+        &Registry::instance().histogram("stage/" + stage.text);
+  }
+  stage.stage_histogram->record(record.end - record.begin);
 }
 
 void Tracer::evict_open_if_needed() {
@@ -182,41 +192,74 @@ void Tracer::evict_open_if_needed() {
   while (open_order_.size() > 4 * kMaxOpen) open_order_.pop_front();
 }
 
+Span Tracer::to_span(const Record& record) const {
+  Span span;
+  span.op = record.op;
+  span.stage = names_[record.stage].text;
+  span.component = names_[record.component].text;
+  span.begin = record.begin;
+  span.end = record.end;
+  return span;
+}
+
+std::vector<Span> Tracer::spans() const {
+  std::vector<Span> out;
+  out.reserve(ring_.size());
+  for (std::size_t i = 0; i < ring_.size(); ++i) out.push_back(span(i));
+  return out;
+}
+
 std::vector<Span> Tracer::spans_for(OpId op) const {
   std::vector<Span> out;
-  for (const Span& s : spans_) {
-    if (s.op == op.value) out.push_back(s);
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    if (at(i).op == op.value) out.push_back(span(i));
   }
   return out;
 }
 
 bool Tracer::has_span(OpId op, const std::string& stage) const {
-  for (const Span& s : spans_) {
-    if (s.op == op.value && s.stage == stage) return true;
+  const auto name = index_.find(std::string_view(stage));
+  if (name == index_.end()) return false;
+  for (const Record& r : ring_) {
+    if (r.op == op.value && r.stage == name->second) return true;
   }
   return false;
 }
 
 void Tracer::dump_jsonl(std::FILE* out) const {
-  for (const Span& s : spans_) {
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const Record& r = at(i);
     std::fprintf(out,
                  "{\"op\":%" PRIu64
                  ",\"stage\":\"%s\",\"component\":\"%s\",\"begin_ns\":%" PRId64
                  ",\"end_ns\":%" PRId64 ",\"dur_ns\":%" PRId64 "}\n",
-                 s.op, s.stage.c_str(), s.component.c_str(), s.begin, s.end,
-                 s.duration());
+                 r.op, names_[r.stage].text.c_str(),
+                 names_[r.component].text.c_str(), r.begin, r.end,
+                 r.end - r.begin);
   }
 }
 
 void Tracer::set_capacity(std::size_t n) {
   capacity_ = n == 0 ? 1 : n;
-  while (spans_.size() > capacity_) spans_.pop_front();
+  if (ring_.empty()) return;
+  // Keep the newest records, oldest first, so the ring fills in order again.
+  const std::size_t keep = std::min(ring_.size(), capacity_);
+  std::vector<Record> ring;
+  ring.reserve(capacity_);
+  for (std::size_t i = ring_.size() - keep; i < ring_.size(); ++i) {
+    ring.push_back(at(i));
+  }
+  ring_ = std::move(ring);
+  head_ = 0;
 }
 
 void Tracer::reset() {
   open_.clear();
   open_order_.clear();
-  spans_.clear();
+  std::vector<Record>().swap(ring_);
+  head_ = 0;
+  names_.clear();
+  index_.clear();
   next_seq_ = 1;
 }
 

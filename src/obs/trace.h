@@ -29,12 +29,16 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
 
 namespace ss::obs {
+
+class Histogram;
 
 struct Span {
   std::uint64_t op = 0;
@@ -79,9 +83,10 @@ class FlightRecorder {
     std::string text;
     std::uint64_t spans_before = 0;  // Tracer::completed() at admission
   };
-  /// The newest capacity() visible events: spans()[span..] and ring_[note..].
+  /// The newest capacity() visible events: Tracer::span(span..) and
+  /// ring_[note..].
   struct Window {
-    std::uint64_t first = 0;  // span number of Tracer::spans()[0]
+    std::uint64_t first = 0;  // span number of Tracer::span(0)
     std::size_t span = 0;
     std::size_t note = 0;
     std::size_t events = 0;
@@ -95,6 +100,13 @@ class FlightRecorder {
 
 /// Per-process span tracker keyed by (op, stage). begin()/end() cover async
 /// stages; record() covers synchronous ones measured by the caller.
+///
+/// Completed spans are kept as fixed 32-byte records in one ring of
+/// capacity() slots, reserved when the first span completes. Stage and
+/// component names are interned once, by content (components pass
+/// `endpoint_.c_str()`, whose storage dies with them), and each stage's
+/// `stage/<name>` histogram is resolved into a handle once. Span is the
+/// value type the read side builds.
 class Tracer {
  public:
   static Tracer& instance();
@@ -113,37 +125,65 @@ class Tracer {
   void record(OpId op, const char* stage, const char* component, SimTime begin,
               SimTime end);
 
-  /// Completed spans, oldest first, bounded by capacity.
-  const std::deque<Span>& spans() const { return spans_; }
+  /// Completed spans, oldest first, bounded by capacity().
+  std::vector<Span> spans() const;
+  /// How many completed spans are retained, and the i-th oldest of them.
+  std::size_t span_count() const { return ring_.size(); }
+  Span span(std::size_t i) const { return to_span(at(i)); }
   /// Spans completed since the process started; reset() keeps counting, so
-  /// spans()[i] is span number completed() - spans().size() + i.
+  /// span(i) is span number completed() - span_count() + i.
   std::uint64_t completed() const { return completed_; }
   std::vector<Span> spans_for(OpId op) const;
   bool has_span(OpId op, const std::string& stage) const;
 
   void dump_jsonl(std::FILE* out) const;
 
+  std::size_t capacity() const { return capacity_; }
   void set_capacity(std::size_t n);
-  /// Drops completed and open spans; keeps the clock.
+  /// Drops completed and open spans and frees the ring; keeps the clock.
   void reset();
 
  private:
+  /// A completed span as the ring stores it; names are indices into names_.
+  struct Record {
+    std::uint64_t op = 0;
+    SimTime begin = 0;
+    SimTime end = 0;
+    std::uint32_t stage = 0;
+    std::uint32_t component = 0;
+  };
+  static_assert(sizeof(Record) <= 32);
+  struct Name {
+    std::string text;
+    Histogram* stage_histogram = nullptr;  // resolved on first use as a stage
+  };
   struct Open {
-    std::string component;
+    std::uint32_t component = 0;
     SimTime begin = 0;
     std::uint64_t seq = 0;  // admission order, for FIFO eviction
   };
-  using Key = std::pair<std::uint64_t, std::string>;
+  using Key = std::pair<std::uint64_t, std::uint32_t>;  // (op, stage name)
 
-  void finish(const Span& span);
+  std::uint32_t intern(const char* name);
+  const Record& at(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
+  }
+  Span to_span(const Record& record) const;
+  void finish(const Record& record);
   void evict_open_if_needed();
 
   std::function<SimTime()> clock_;
+  /// Interned names; a deque, so the views index_ holds stay valid.
+  std::deque<Name> names_;
+  std::unordered_map<std::string_view, std::uint32_t> index_;
   std::map<Key, Open> open_;
   // FIFO of (key, seq) for bounding open_; entries whose seq no longer
   // matches are stale (the span ended or was restarted) and are skipped.
   std::deque<std::pair<Key, std::uint64_t>> open_order_;
-  std::deque<Span> spans_;
+  /// The ring: filled in order up to capacity_, then overwritten from
+  /// head_, the oldest record.
+  std::vector<Record> ring_;
+  std::size_t head_ = 0;
   std::size_t capacity_ = 8192;
   std::uint64_t next_seq_ = 1;
   std::uint64_t completed_ = 0;

@@ -4,10 +4,18 @@
 
 namespace ss::scada {
 
+const BlockLog* Historian::find(ItemId item) const {
+  auto it = series_.find(item.value);
+  return it == series_.end() ? nullptr : &it->second;
+}
+
 void Historian::record(ItemId item, SimTime timestamp, const Variant& value,
                        Quality quality) {
-  auto& samples = series_[item.value];
-  samples.push_back(Sample{timestamp, value, quality});
+  BlockLog& samples =
+      series_.try_emplace(item.value, kBlockBytes).first->second;
+  Writer w(32);
+  Sample::encode(w, timestamp, value, quality);
+  samples.push_back(w.bytes());
   ++total_;
   if (samples.size() > capacity_) samples.pop_front();
 }
@@ -15,41 +23,40 @@ void Historian::record(ItemId item, SimTime timestamp, const Variant& value,
 std::vector<Sample> Historian::range(ItemId item, SimTime from,
                                      SimTime to) const {
   std::vector<Sample> out;
-  auto it = series_.find(item.value);
-  if (it == series_.end()) return out;
-  for (const Sample& sample : it->second) {
+  const BlockLog* samples = find(item);
+  if (samples == nullptr) return out;
+  samples->decode_each<Sample>([&](Sample sample) {
     if (sample.timestamp >= from && sample.timestamp <= to) {
-      out.push_back(sample);
+      out.push_back(std::move(sample));
     }
-  }
+  });
   return out;
 }
 
 std::vector<Sample> Historian::tail(ItemId item, std::size_t n) const {
   std::vector<Sample> out;
-  auto it = series_.find(item.value);
-  if (it == series_.end()) return out;
-  const auto& samples = it->second;
-  std::size_t start = samples.size() > n ? samples.size() - n : 0;
-  out.assign(samples.begin() + static_cast<std::ptrdiff_t>(start),
-             samples.end());
+  const BlockLog* samples = find(item);
+  if (samples == nullptr) return out;
+  std::size_t start = samples->size() > n ? samples->size() - n : 0;
+  samples->decode_each<Sample>(
+      [&](Sample sample) { out.push_back(std::move(sample)); }, start);
   return out;
 }
 
 std::optional<Sample> Historian::latest(ItemId item) const {
-  auto it = series_.find(item.value);
-  if (it == series_.end() || it->second.empty()) return std::nullopt;
-  return it->second.back();
+  std::vector<Sample> last = tail(item, 1);
+  if (last.empty()) return std::nullopt;
+  return std::move(last.front());
 }
 
 Aggregate Historian::aggregate(ItemId item, SimTime from, SimTime to) const {
   Aggregate agg;
   double sum = 0;
-  auto it = series_.find(item.value);
-  if (it == series_.end()) return agg;
-  for (const Sample& sample : it->second) {
-    if (sample.timestamp < from || sample.timestamp > to) continue;
-    if (!sample.value.is_numeric()) continue;
+  const BlockLog* samples = find(item);
+  if (samples == nullptr) return agg;
+  samples->decode_each<Sample>([&](const Sample& sample) {
+    if (sample.timestamp < from || sample.timestamp > to) return;
+    if (!sample.value.is_numeric()) return;
     double v = sample.value.as_double();
     if (agg.count == 0) {
       agg.min = agg.max = v;
@@ -59,18 +66,24 @@ Aggregate Historian::aggregate(ItemId item, SimTime from, SimTime to) const {
     }
     sum += v;
     ++agg.count;
-  }
+  });
   if (agg.count > 0) agg.mean = sum / static_cast<double>(agg.count);
   return agg;
 }
 
 void Historian::encode(Writer& w) const {
-  w.varint(total_);
-  w.varint(series_.size());
+  Pieces pieces;
+  encode(pieces);
+  pieces.write_to(w);
+}
+
+void Historian::encode(Pieces& out) const {
+  out.writer().varint(total_);
+  out.writer().varint(series_.size());
   for (const auto& [item, samples] : series_) {
-    w.varint(item);
-    w.varint(samples.size());
-    for (const Sample& sample : samples) sample.encode(w);
+    out.writer().varint(item);
+    out.writer().varint(samples.size());
+    for (ByteView block : samples.blocks()) out.view(block);
   }
 }
 
@@ -81,9 +94,11 @@ void Historian::decode(Reader& r) {
   for (std::uint64_t i = 0; i < n_items; ++i) {
     std::uint32_t item = r.varint32();
     std::uint64_t n_samples = r.varint();
-    auto& samples = series_[item];
+    BlockLog& samples = series_.try_emplace(item, kBlockBytes).first->second;
     for (std::uint64_t j = 0; j < n_samples; ++j) {
-      samples.push_back(Sample::decode(r));
+      Writer w(32);
+      Sample::decode(r).encode(w);
+      samples.push_back(w.bytes());
     }
   }
 }

@@ -2,19 +2,25 @@
 //
 // Eclipse NeoSCADA ships a value-archive component next to the event
 // storage; operators use it for trend displays. Ours records every accepted
-// item update (bounded ring per item), serves range / tail / aggregate
+// item update (bounded window per item), serves range / tail / aggregate
 // queries, and participates in replica snapshots — in SMaRt-SCADA the
 // archive contents must be byte-identical across replicas, which only works
 // because samples are stamped with the deterministic operation timestamps.
+//
+// Each item's samples are kept in their canonical encoding in a BlockLog of
+// small blocks, freed from the front as the window slides, and decoded only
+// by queries. The logs are exactly the samples' section of the replica
+// snapshot, so snapshot() copies them and state_digest() hashes them where
+// they lie.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "common/serialization.h"
 #include "common/types.h"
+#include "scada/block_log.h"
 #include "scada/item.h"
 #include "scada/variant.h"
 
@@ -25,7 +31,9 @@ struct Sample {
   Variant value;
   Quality quality = Quality::kGood;
 
-  void encode(Writer& w) const {
+  void encode(Writer& w) const { encode(w, timestamp, value, quality); }
+  static void encode(Writer& w, SimTime timestamp, const Variant& value,
+                     Quality quality) {
     w.i64(timestamp);
     value.encode(w);
     w.enumeration(quality);
@@ -72,11 +80,22 @@ class Historian {
   std::size_t items_tracked() const { return series_.size(); }
 
   void encode(Writer& w) const;
+  /// The same bytes as encode(), with each item's samples as views into its
+  /// log (valid until the next record or decode).
+  void encode(Pieces& out) const;
+  /// Decodes every sample and stores its canonical re-encoding, so a
+  /// malformed sample throws DecodeError.
   void decode(Reader& r);
 
  private:
+  /// A double sample encodes to 18 bytes: 2 KiB blocks hold about a hundred
+  /// and leave at most two partly used blocks per item.
+  static constexpr std::size_t kBlockBytes = 2048;
+
+  const BlockLog* find(ItemId item) const;
+
   std::size_t capacity_;
-  std::map<std::uint32_t, std::deque<Sample>> series_;
+  std::map<std::uint32_t, BlockLog> series_;
   std::uint64_t total_ = 0;
 };
 

@@ -278,8 +278,40 @@ void ScadaMaster::inject_timeout_result(OpId op) {
 // --------------------------------------------------------------------------
 // replica state
 
-ScadaMaster::StatePieces ScadaMaster::state_pieces() const {
-  Writer w(1024);
+namespace {
+
+using SubscriptionTable = std::map<std::uint32_t, std::set<std::string>>;
+
+void encode_subs(Writer& w, const SubscriptionTable& table,
+                 const std::set<std::string>& wildcard) {
+  w.varint(wildcard.size());
+  for (const std::string& s : wildcard) w.str(s);
+  w.varint(table.size());
+  for (const auto& [item, subs] : table) {
+    w.varint(item);
+    w.varint(subs.size());
+    for (const std::string& s : subs) w.str(s);
+  }
+}
+
+void decode_subs(Reader& r, SubscriptionTable& table,
+                 std::set<std::string>& wildcard) {
+  std::uint64_t n_wild = r.varint();
+  for (std::uint64_t i = 0; i < n_wild; ++i) wildcard.insert(r.str());
+  std::uint64_t n_table = r.varint();
+  for (std::uint64_t i = 0; i < n_table; ++i) {
+    std::uint32_t item = r.varint32();
+    std::uint64_t n_subs = r.varint();
+    auto& subs = table[item];
+    for (std::uint64_t j = 0; j < n_subs; ++j) subs.insert(r.str());
+  }
+}
+
+}  // namespace
+
+Pieces ScadaMaster::state_pieces() const {
+  Pieces out(1024);
+  Writer& w = out.writer();
   w.varint(items_.size());
   for (const auto& [id, item] : items_) item.encode(w);
   w.varint(chains_.size());
@@ -287,21 +319,8 @@ ScadaMaster::StatePieces ScadaMaster::state_pieces() const {
     w.varint(id);
     chain.encode_state(w);
   }
-
-  auto encode_subs = [&w](const std::map<std::uint32_t, std::set<std::string>>&
-                              table,
-                          const std::set<std::string>& wildcard) {
-    w.varint(wildcard.size());
-    for (const std::string& s : wildcard) w.str(s);
-    w.varint(table.size());
-    for (const auto& [item, subs] : table) {
-      w.varint(item);
-      w.varint(subs.size());
-      for (const std::string& s : subs) w.str(s);
-    }
-  };
-  encode_subs(da_subs_, da_wildcard_);
-  encode_subs(ae_subs_, ae_wildcard_);
+  encode_subs(w, da_subs_, da_wildcard_);
+  encode_subs(w, ae_subs_, ae_wildcard_);
 
   w.varint(pending_writes_.size());
   for (const auto& [op, pending] : pending_writes_) {
@@ -311,78 +330,81 @@ ScadaMaster::StatePieces ScadaMaster::state_pieces() const {
     w.str(pending.requester);
   }
 
-  storage_.encode_header(w);
-  Writer historian;
-  historian_.encode(historian);
-  return {std::move(w).take(), storage_.log(), std::move(historian).take()};
+  storage_.encode(out);
+  historian_.encode(out);
+  return out;
 }
 
 Bytes ScadaMaster::snapshot() const {
-  StatePieces pieces = state_pieces();
-  Writer w(pieces.head.size() + storage_.log_bytes() +
-           pieces.historian.size());
-  w.raw(pieces.head);
-  for (ByteView block : pieces.log) w.raw(block);
-  w.raw(pieces.historian);
+  Pieces pieces = state_pieces();
+  Writer w(pieces.size());
+  pieces.write_to(w);
   return std::move(w).take();
 }
 
 void ScadaMaster::restore(ByteView data) {
   Reader r(data);
+  std::map<std::uint32_t, Item> items;
   std::uint64_t n_items = r.varint();
-  items_.clear();
   for (std::uint64_t i = 0; i < n_items; ++i) {
     Item item = Item::decode(r);
-    items_[item.id.value] = std::move(item);
-  }
-  std::uint64_t n_chains = r.varint();
-  if (n_chains != chains_.size()) throw DecodeError("chain config mismatch");
-  for (std::uint64_t i = 0; i < n_chains; ++i) {
-    std::uint32_t id = r.varint32();
-    auto it = chains_.find(id);
-    if (it == chains_.end()) throw DecodeError("chain config mismatch");
-    it->second.decode_state(r);
+    items[item.id.value] = std::move(item);
   }
 
-  auto decode_subs = [&r](std::map<std::uint32_t, std::set<std::string>>& table,
-                          std::set<std::string>& wildcard) {
-    wildcard.clear();
-    std::uint64_t n_wild = r.varint();
-    for (std::uint64_t i = 0; i < n_wild; ++i) wildcard.insert(r.str());
-    table.clear();
-    std::uint64_t n_table = r.varint();
-    for (std::uint64_t i = 0; i < n_table; ++i) {
-      std::uint32_t item = r.varint32();
-      std::uint64_t n_subs = r.varint();
-      auto& subs = table[item];
-      for (std::uint64_t j = 0; j < n_subs; ++j) subs.insert(r.str());
+  // Handler state lives in the handlers, so it is decoded in place; their
+  // current state is kept to be put back if any later section throws.
+  Writer chains_before;
+  for (const auto& [id, chain] : chains_) chain.encode_state(chains_before);
+  try {
+    std::uint64_t n_chains = r.varint();
+    if (n_chains != chains_.size()) throw DecodeError("chain config mismatch");
+    for (std::uint64_t i = 0; i < n_chains; ++i) {
+      std::uint32_t id = r.varint32();
+      auto it = chains_.find(id);
+      if (it == chains_.end()) throw DecodeError("chain config mismatch");
+      it->second.decode_state(r);
     }
-  };
-  decode_subs(da_subs_, da_wildcard_);
-  decode_subs(ae_subs_, ae_wildcard_);
 
-  pending_writes_.clear();
-  std::uint64_t n_pending = r.varint();
-  for (std::uint64_t i = 0; i < n_pending; ++i) {
-    std::uint64_t op = r.varint();
-    PendingWrite pending;
-    pending.item = r.id<ItemId>();
-    pending.value = Variant::decode(r);
-    pending.requester = r.str();
-    pending_writes_[op] = std::move(pending);
+    SubscriptionTable da_subs, ae_subs;
+    std::set<std::string> da_wildcard, ae_wildcard;
+    decode_subs(r, da_subs, da_wildcard);
+    decode_subs(r, ae_subs, ae_wildcard);
+
+    std::map<std::uint64_t, PendingWrite> pending_writes;
+    std::uint64_t n_pending = r.varint();
+    for (std::uint64_t i = 0; i < n_pending; ++i) {
+      std::uint64_t op = r.varint();
+      PendingWrite pending;
+      pending.item = r.id<ItemId>();
+      pending.value = Variant::decode(r);
+      pending.requester = r.str();
+      pending_writes[op] = std::move(pending);
+    }
+
+    EventStorage storage(opt_.storage_retention);
+    storage.decode(r);
+    Historian historian(opt_.historian_capacity);
+    historian.decode(r);
+    r.expect_done();
+
+    items_ = std::move(items);
+    da_subs_ = std::move(da_subs);
+    da_wildcard_ = std::move(da_wildcard);
+    ae_subs_ = std::move(ae_subs);
+    ae_wildcard_ = std::move(ae_wildcard);
+    pending_writes_ = std::move(pending_writes);
+    storage_ = std::move(storage);
+    historian_ = std::move(historian);
+  } catch (...) {
+    Reader before(chains_before.bytes());
+    for (auto& [id, chain] : chains_) chain.decode_state(before);
+    throw;
   }
-
-  storage_.decode(r);
-  historian_.decode(r);
-  r.expect_done();
 }
 
 crypto::Digest ScadaMaster::state_digest() const {
-  StatePieces pieces = state_pieces();
   crypto::Sha256 hasher;
-  hasher.update(pieces.head);
-  for (ByteView block : pieces.log) hasher.update(block);
-  hasher.update(pieces.historian);
+  state_pieces().for_each([&hasher](ByteView piece) { hasher.update(piece); });
   return hasher.finish();
 }
 

@@ -110,21 +110,18 @@ class ScadaMaster {
   /// (item set, handler chain composition) is assumed identical across
   /// replicas and is not included.
   Bytes snapshot() const;
+  /// All or nothing: decodes the whole snapshot before it replaces any
+  /// state, so a malformed one throws DecodeError and leaves this master as
+  /// it was.
   void restore(ByteView data);
   /// Sha256::hash(snapshot()), computed without materialising the snapshot:
-  /// the event log is hashed where it lies.
+  /// the event log and the historian's samples are hashed where they lie.
   crypto::Digest state_digest() const;
 
  private:
-  /// The snapshot is head ‖ log ‖ historian. `head` holds everything before
-  /// the event log (items through the storage header); `log` views the
-  /// storage's resident encodings.
-  struct StatePieces {
-    Bytes head;
-    std::vector<ByteView> log;
-    Bytes historian;
-  };
-  StatePieces state_pieces() const;
+  /// The snapshot as pieces: the encoded items through the storage header,
+  /// then views of the event log and of the historian's sample logs.
+  Pieces state_pieces() const;
 
   struct PendingWrite {
     ItemId item;

@@ -86,6 +86,8 @@ class ReplicaStorage {
   std::uint64_t usig_lease_ = 0;
   ReplicaStorageStats stats_;
   obs::SourceHandle metrics_;
+  /// "storage.fsync_ns", resolved once: recorded per WAL append.
+  obs::Histogram& fsync_ns_;
 };
 
 }  // namespace ss::storage

@@ -1,14 +1,20 @@
 // Integration tests for the BFT SMR library: ordering, voting, batching,
-// fault tolerance (crash, Byzantine, drops), view change, state transfer.
+// fault tolerance (crash, Byzantine, drops), view change, state transfer;
+// and the replica's dedup table against a std::set model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "bft/client.h"
+#include "bft/dedup_table.h"
 #include "bft/replica.h"
+#include "heap_usage.h"
 #include "common/config.h"
 #include "crypto/keychain.h"
 #include "sim/event_loop.h"
@@ -463,6 +469,158 @@ TEST_P(BftFSweep, ToleratesFCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FSweep, BftFSweep, ::testing::Values(1u, 2u, 3u));
+
+// ---------------------------------------------------------------------------
+// Dedup table
+
+/// The table as it was kept before it became a DedupTable: a std::set per
+/// client, trimmed from the lowest number after every insert.
+struct ModelDedup {
+  std::map<std::uint32_t, std::set<std::uint64_t>> clients;
+
+  void insert(std::uint32_t client, std::uint64_t seq) {
+    auto& seqs = clients[client];
+    seqs.insert(seq);
+    while (seqs.size() > DedupTable::kWindow) seqs.erase(seqs.begin());
+  }
+  bool contains(std::uint32_t client, std::uint64_t seq) const {
+    auto it = clients.find(client);
+    return it != clients.end() && it->second.count(seq) > 0;
+  }
+  Bytes encode() const {
+    Writer w;
+    w.varint(clients.size());
+    for (const auto& [client, seqs] : clients) {
+      w.varint(client);
+      w.varint(seqs.size());
+      for (std::uint64_t s : seqs) w.varint(s);
+    }
+    return std::move(w).take();
+  }
+};
+
+Bytes encode_table(const DedupTable& table) {
+  Writer w;
+  table.encode(w);
+  return std::move(w).take();
+}
+
+void expect_same_answers(const DedupTable& table, const ModelDedup& model,
+                         std::mt19937_64& rng) {
+  for (std::uint32_t client = 0; client <= 4; ++client) {  // 0 never inserts
+    for (int probe = 0; probe < 64; ++probe) {
+      const std::uint64_t seq = rng() % 13000;
+      ASSERT_EQ(table.contains(ClientId{client}, RequestId{seq}),
+                model.contains(client, seq))
+          << "client " << client << " seq " << seq;
+    }
+  }
+  ASSERT_EQ(encode_table(table), model.encode());
+}
+
+TEST(DedupTableModel, AnswersAndEncodesAsTheSetDid) {
+  DedupTable table;
+  ModelDedup model;
+  std::mt19937_64 rng(5);
+  auto insert = [&](std::uint32_t client, std::uint64_t seq) {
+    table.insert(ClientId{client}, RequestId{seq});
+    model.insert(client, seq);
+  };
+
+  // Client 1 in order, well past the window.
+  for (std::uint64_t s = 1; s <= 10000; ++s) {
+    insert(1, s);
+    if (s % 1000 == 0) expect_same_answers(table, model, rng);
+  }
+  // Client 2 shuffled, with every number twice.
+  std::vector<std::uint64_t> shuffled;
+  for (std::uint64_t s = 1; s <= 6000; ++s) {
+    shuffled.push_back(s);
+    shuffled.push_back(s);
+  }
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    insert(2, shuffled[i]);
+    if (i % 1500 == 0) expect_same_answers(table, model, rng);
+  }
+  // Client 3: in order, then stale, duplicated and gap-filling numbers.
+  for (std::uint64_t s = 2; s <= 9000; s += 2) insert(3, s);
+  for (std::uint64_t s : {1ull, 2ull, 100ull, 4000ull, 8999ull, 9000ull,
+                          8001ull, 12000ull, 11999ull, 5ull}) {
+    insert(3, s);
+    expect_same_answers(table, model, rng);
+  }
+  // Client 4: a handful, never near the window.
+  for (std::uint64_t s : {7ull, 3ull, 7ull, 12ull}) insert(4, s);
+  expect_same_answers(table, model, rng);
+
+  table.clear();
+  model.clients.clear();
+  expect_same_answers(table, model, rng);
+}
+
+TEST(DedupTableModel, DecodeSortsAndMergesLikeTheSet) {
+  // An unsorted list with repeats, a client listed twice, a client with no
+  // numbers, and one over the window: decoded as std::set inserts did.
+  Writer w;
+  w.varint(5);
+  w.varint(9);
+  w.varint(5);
+  for (std::uint64_t s : {30ull, 10ull, 20ull, 10ull, 30ull}) w.varint(s);
+  w.varint(2);
+  w.varint(0);
+  w.varint(9);
+  w.varint(2);
+  w.varint(15);
+  w.varint(10);
+  w.varint(7);
+  w.varint(DedupTable::kWindow + 3);
+  for (std::uint64_t s = DedupTable::kWindow + 3; s >= 1; --s) w.varint(s);
+  w.varint(1);
+  w.varint(1);
+  w.varint(42);
+  const Bytes input = w.bytes();
+
+  ModelDedup model;
+  {
+    Reader r(input);
+    std::uint64_t nclients = r.varint();
+    for (std::uint64_t i = 0; i < nclients; ++i) {
+      auto client = static_cast<std::uint32_t>(r.varint());
+      std::uint64_t nseqs = r.varint();
+      auto& seqs = model.clients[client];
+      for (std::uint64_t j = 0; j < nseqs; ++j) seqs.insert(r.varint());
+    }
+  }
+  Reader r(input);
+  DedupTable table = DedupTable::decode(r);
+  EXPECT_TRUE(r.done());
+  std::mt19937_64 rng(9);
+  expect_same_answers(table, model, rng);
+
+  // The window is enforced on the next insert, duplicate or not.
+  table.insert(ClientId{7}, RequestId{5});
+  model.insert(7, 5);
+  expect_same_answers(table, model, rng);
+  EXPECT_EQ(model.clients[7].size(), DedupTable::kWindow);
+
+  Bytes truncated(input.begin(), input.end() - 1);
+  Reader tr(truncated);
+  EXPECT_THROW(DedupTable::decode(tr), DecodeError);
+}
+
+TEST(DedupTableFootprint, OneClientWindowIsFlat) {
+  SS_REQUIRE_HEAP_USAGE();
+  const std::size_t before = test::heap_in_use();
+  {
+    DedupTable table;
+    for (std::uint64_t s = 1; s <= 2 * DedupTable::kWindow; ++s) {
+      table.insert(ClientId{1}, RequestId{s});
+    }
+    const std::size_t used = test::heap_in_use() - before;
+    EXPECT_LE(used, 48u * 1024) << used << " bytes";
+  }
+}
 
 }  // namespace
 }  // namespace ss::bft

@@ -1,9 +1,15 @@
 // Unit + integration tests for the Historian (value archive) and its
-// replicated query path.
+// replicated query path, plus the encoded archive against a
+// std::deque<Sample> model and its heap footprint.
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <map>
+#include <random>
 
 #include "core/replicated_deployment.h"
 #include "core/requests.h"
+#include "heap_usage.h"
 #include "scada/historian.h"
 #include "scada/master.h"
 
@@ -117,6 +123,186 @@ TEST(Historian, MasterRecordsAcceptedUpdates) {
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_DOUBLE_EQ(tail[1].value.as_double(), 10.0);
   EXPECT_EQ(tail[1].timestamp, millis(3));
+}
+
+/// The archive as it was kept before samples were stored encoded: one
+/// std::deque<Sample> per item.
+struct ModelHistorian {
+  explicit ModelHistorian(std::size_t cap) : capacity(cap) {}
+
+  std::size_t capacity;
+  std::map<std::uint32_t, std::deque<Sample>> series;
+  std::uint64_t total = 0;
+
+  void record(ItemId item, const Sample& sample) {
+    auto& samples = series[item.value];
+    samples.push_back(sample);
+    ++total;
+    if (samples.size() > capacity) samples.pop_front();
+  }
+  const std::deque<Sample>& of(ItemId item) const {
+    static const std::deque<Sample> kEmpty;
+    auto it = series.find(item.value);
+    return it == series.end() ? kEmpty : it->second;
+  }
+  std::vector<Sample> range(ItemId item, SimTime from, SimTime to) const {
+    std::vector<Sample> out;
+    for (const Sample& s : of(item)) {
+      if (s.timestamp >= from && s.timestamp <= to) out.push_back(s);
+    }
+    return out;
+  }
+  std::vector<Sample> tail(ItemId item, std::size_t n) const {
+    const auto& samples = of(item);
+    std::size_t start = samples.size() > n ? samples.size() - n : 0;
+    return {samples.begin() + static_cast<std::ptrdiff_t>(start),
+            samples.end()};
+  }
+  Aggregate aggregate(ItemId item, SimTime from, SimTime to) const {
+    Aggregate agg;
+    double sum = 0;
+    for (const Sample& s : of(item)) {
+      if (s.timestamp < from || s.timestamp > to) continue;
+      if (!s.value.is_numeric()) continue;
+      double v = s.value.as_double();
+      agg.min = agg.count == 0 ? v : std::min(agg.min, v);
+      agg.max = agg.count == 0 ? v : std::max(agg.max, v);
+      sum += v;
+      ++agg.count;
+    }
+    if (agg.count > 0) agg.mean = sum / static_cast<double>(agg.count);
+    return agg;
+  }
+  Bytes encode() const {
+    Writer w;
+    w.varint(total);
+    w.varint(series.size());
+    for (const auto& [item, samples] : series) {
+      w.varint(item);
+      w.varint(samples.size());
+      for (const Sample& s : samples) s.encode(w);
+    }
+    return std::move(w).take();
+  }
+};
+
+Variant random_value(std::mt19937_64& rng) {
+  switch (rng() % 5) {
+    case 0:
+      return Variant{};
+    case 1:
+      return Variant{rng() % 2 == 0};
+    case 2:
+      return Variant{static_cast<std::int64_t>(rng()) >> (rng() % 64)};
+    case 3:
+      return Variant{static_cast<double>(rng() % 100000) / 7.0 - 5000.0};
+    default:
+      // Up to a few hundred bytes: strings cross the 2 KiB block boundaries.
+      return Variant{std::string(rng() % 400, static_cast<char>('a' + rng() % 26))};
+  }
+}
+
+void expect_matches(const Historian& historian, const ModelHistorian& model,
+                    std::mt19937_64& rng, SimTime horizon) {
+  ASSERT_EQ(historian.total_samples(), model.total);
+  ASSERT_EQ(historian.items_tracked(), model.series.size());
+  for (std::uint32_t id = 1; id <= 4; ++id) {  // item 4 is never recorded
+    const ItemId item{id};
+    SimTime from = static_cast<SimTime>(rng() % static_cast<std::uint64_t>(horizon + 1));
+    SimTime to = from + static_cast<SimTime>(rng() % static_cast<std::uint64_t>(horizon + 1));
+    EXPECT_EQ(historian.range(item, from, to), model.range(item, from, to));
+    EXPECT_EQ(historian.range(item, 0, horizon), model.range(item, 0, horizon));
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                          model.capacity, model.capacity + 5,
+                          static_cast<std::size_t>(rng() % 5000)}) {
+      EXPECT_EQ(historian.tail(item, n), model.tail(item, n)) << n;
+    }
+    std::vector<Sample> last = model.tail(item, 1);
+    std::optional<Sample> latest = historian.latest(item);
+    ASSERT_EQ(latest.has_value(), !last.empty());
+    if (latest) {
+      EXPECT_EQ(*latest, last.front());
+    }
+    Aggregate got = historian.aggregate(item, from, to);
+    Aggregate want = model.aggregate(item, from, to);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.mean, want.mean);
+  }
+  Writer w;
+  historian.encode(w);
+  ASSERT_EQ(w.bytes(), model.encode());
+}
+
+class HistorianModel : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HistorianModel, MatchesADequeOfSamples) {
+  const std::size_t capacity = GetParam();
+  Historian historian(capacity);
+  ModelHistorian model(capacity);
+  std::mt19937_64 rng(capacity);
+  SimTime now = 0;
+  const std::size_t records = 3 * capacity + 200;
+  for (std::size_t i = 0; i < records; ++i) {
+    now += static_cast<SimTime>(rng() % 3);  // repeats and gaps
+    ItemId item{static_cast<std::uint32_t>(1 + rng() % 3)};
+    Sample sample{now, random_value(rng),
+                  static_cast<Quality>(rng() % (static_cast<int>(Quality::kMax) + 1))};
+    historian.record(item, sample.timestamp, sample.value, sample.quality);
+    model.record(item, sample);
+    if (i % 997 == 0 || i < 20) expect_matches(historian, model, rng, now);
+  }
+  expect_matches(historian, model, rng, now);
+
+  // decode() restores the same archive, which then evolves identically.
+  Writer w;
+  historian.encode(w);
+  const Bytes encoded = w.bytes();
+  Historian restored(capacity);
+  Reader r(encoded);
+  restored.decode(r);
+  EXPECT_TRUE(r.done());
+  expect_matches(restored, model, rng, now);
+  for (int i = 0; i < 50; ++i) {
+    now += 1;
+    Sample sample{now, random_value(rng), Quality::kGood};
+    restored.record(ItemId{2}, sample.timestamp, sample.value, sample.quality);
+    model.record(ItemId{2}, sample);
+  }
+  expect_matches(restored, model, rng, now);
+
+  // Any strict prefix is rejected; bytes after the archive are left to the
+  // caller's expect_done().
+  for (std::size_t cut : {std::size_t{1}, encoded.size() / 2,
+                          encoded.size() - 1}) {
+    Historian partial(capacity);
+    Reader prefix(ByteView(encoded).first(cut));
+    EXPECT_THROW(partial.decode(prefix), DecodeError) << cut;
+  }
+  Bytes trailing = encoded;
+  trailing.push_back(0);
+  Historian extra(capacity);
+  Reader tr(trailing);
+  extra.decode(tr);
+  EXPECT_THROW(tr.expect_done(), DecodeError);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacity, HistorianModel,
+                         ::testing::Values(1u, 3u, 4096u));
+
+TEST(HistorianFootprint, FullWindowOfDoublesStaysEncoded) {
+  SS_REQUIRE_HEAP_USAGE();
+  const std::size_t before = test::heap_in_use();
+  {
+    Historian historian;
+    // Two windows' worth, so the archive has slid as a replica's does.
+    for (int i = 0; i < 2 * 4096; ++i) {
+      historian.record(ItemId{1}, millis(i), Variant{i * 0.5}, Quality::kGood);
+    }
+    const std::size_t used = test::heap_in_use() - before;
+    EXPECT_LE(used, 128u * 1024) << used << " bytes";
+  }
 }
 
 }  // namespace

@@ -1,16 +1,24 @@
 // Observability layer: histogram percentile accuracy (including the
-// empty/one-sample edge cases), registry sources, tracer span lifecycle —
-// both in isolation and across a full replicated write round in the sim
-// harness — and the flight recorder's bounded window, which merges the
-// Tracer's spans with its own log notes at dump time.
+// empty/one-sample edge cases), registry sources and handles, tracer span
+// lifecycle — both in isolation and across a full replicated write round in
+// the sim harness — the span ring against a std::deque<Span> model and its
+// heap footprint, and the flight recorder's bounded window, which merges
+// the Tracer's spans with its own log notes at dump time.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <deque>
+#include <map>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "core/replicated_deployment.h"
+#include "heap_usage.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -129,6 +137,39 @@ TEST(RegistryTest, SourceHandleRegistersAndUnregisters) {
   EXPECT_EQ(reg.json().find("\"fake\""), std::string::npos);
 }
 
+TEST(RegistryTest, HandlesTakenBeforeResetKeepRecording) {
+  Registry& reg = Registry::instance();
+  Histogram& handle = reg.histogram("test/handle");
+  std::uint64_t& counter = reg.counter("test/handle_ops");
+  handle.record(5);
+  ++counter;
+  reg.reset();
+  EXPECT_EQ(handle.count(), 0u);
+  EXPECT_EQ(counter, 0u);
+
+  handle.record(700);
+  counter += 2;
+  EXPECT_EQ(&reg.histogram("test/handle"), &handle);
+  std::string json = reg.json();
+  EXPECT_NE(json.find("\"test/handle\":{\"count\":1,\"min\":700"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test/handle_ops\":2"), std::string::npos) << json;
+
+  // The Tracer's stage handles survive a reset the same way.
+  Tracer& tracer = Tracer::instance();
+  tracer.reset();
+  tracer.record(OpId{1}, "handled", "comp", 0, 10);
+  reg.reset();
+  tracer.record(OpId{2}, "handled", "comp", 0, 30);
+  json = reg.json();
+  EXPECT_NE(json.find("\"stage/handled\":{\"count\":1,\"min\":30"),
+            std::string::npos)
+      << json;
+  tracer.reset();
+  reg.reset();
+}
+
 // ---------------------------------------------------------------------------
 // Tracer
 
@@ -182,6 +223,190 @@ TEST(TracerTest, OpenSpanTableIsBounded) {
   tracer.begin(OpId{20001}, "ok");
   tracer.end(OpId{20001}, "ok");
   EXPECT_TRUE(tracer.has_span(OpId{20001}, "ok"));
+  tracer.reset();
+}
+
+// ---------------------------------------------------------------------------
+// The span ring against a std::deque<Span> model
+
+void expect_same_spans(const std::vector<Span>& got,
+                       const std::deque<Span>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].op, want[i].op) << "span " << i;
+    ASSERT_EQ(got[i].stage, want[i].stage) << "span " << i;
+    ASSERT_EQ(got[i].component, want[i].component) << "span " << i;
+    ASSERT_EQ(got[i].begin, want[i].begin) << "span " << i;
+    ASSERT_EQ(got[i].end, want[i].end) << "span " << i;
+  }
+}
+
+/// dump_jsonl() into a string.
+std::string jsonl_of(const Tracer& tracer) {
+  std::FILE* f = std::tmpfile();
+  tracer.dump_jsonl(f);
+  std::string out(static_cast<std::size_t>(std::ftell(f)), '\0');
+  std::rewind(f);
+  EXPECT_EQ(std::fread(out.data(), 1, out.size(), f), out.size());
+  std::fclose(f);
+  return out;
+}
+
+std::string reference_jsonl(const std::deque<Span>& spans) {
+  std::string out;
+  char line[512];
+  for (const Span& s : spans) {
+    std::snprintf(line, sizeof(line),
+                  "{\"op\":%" PRIu64
+                  ",\"stage\":\"%s\",\"component\":\"%s\",\"begin_ns\":%" PRId64
+                  ",\"end_ns\":%" PRId64 ",\"dur_ns\":%" PRId64 "}\n",
+                  s.op, s.stage.c_str(), s.component.c_str(), s.begin, s.end,
+                  s.duration());
+    out += line;
+  }
+  return out;
+}
+
+/// The flight recorder's dump of `spans` when they are all its events.
+std::string reference_dump(const std::deque<Span>& spans,
+                           std::size_t capacity) {
+  const std::size_t shown = std::min(spans.size(), capacity);
+  char line[512];
+  std::snprintf(line, sizeof(line),
+                "--- flight recorder (%zu of last %zu events) ---\n", shown,
+                capacity);
+  std::string out = line;
+  for (std::size_t i = spans.size() - shown; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    std::snprintf(line, sizeof(line),
+                  "[%12.3fms] span op=%" PRIu64
+                  " stage=%s component=%s dur=%" PRId64 "ns\n",
+                  static_cast<double>(s.end) / kNanosPerMilli, s.op,
+                  s.stage.c_str(), s.component.c_str(), s.duration());
+    out += line;
+  }
+  out += "--- end flight recorder ---\n";
+  return out;
+}
+
+TEST(TracerModel, RingMatchesADequeOfSpans) {
+  Tracer& tracer = Tracer::instance();
+  FlightRecorder& rec = FlightRecorder::instance();
+  tracer.reset();
+  rec.clear();
+  Registry::instance().reset();
+  SimTime now = 0;
+  tracer.set_clock([&now] { return now; });
+
+  const std::size_t capacity = tracer.capacity();
+  ASSERT_EQ(capacity, 8192u);
+  const std::uint64_t completed_before = tracer.completed();
+  const std::vector<std::string> stages = {"frontend", "agreement", "master",
+                                           "adapter", "voter"};
+  const std::vector<std::string> components = {"replica/0", "adapter/1",
+                                               "hmi", ""};
+  // A component's name dies with it, as `endpoint_.c_str()` does.
+  auto dying = std::make_unique<std::string>("proxy/short-lived");
+
+  std::mt19937_64 rng(11);
+  std::deque<Span> model;
+  std::map<std::string, std::uint64_t> stage_counts;
+  for (std::size_t i = 0; i < 3 * capacity; ++i) {
+    if (i == 2 * capacity) {
+      std::fill(dying->begin(), dying->end(), '#');
+      dying.reset();
+    }
+    Span span;
+    span.op = 1 + rng() % 5000;
+    span.stage = stages[rng() % stages.size()];
+    const std::size_t pick = rng() % (components.size() + 1);
+    const char* component = pick < components.size()
+                                ? components[pick].c_str()
+                                : (dying ? dying->c_str() : "hmi");
+    span.component = component;
+    span.begin = static_cast<SimTime>(i) * 1000;
+    span.end = span.begin + static_cast<SimTime>(rng() % 5000);
+    if (rng() % 2 == 0) {
+      tracer.record(OpId{span.op}, span.stage.c_str(), component, span.begin,
+                    span.end);
+    } else {
+      now = span.begin;
+      tracer.begin(OpId{span.op}, span.stage.c_str(), component);
+      now = span.end;
+      tracer.end(OpId{span.op}, span.stage.c_str());
+    }
+    model.push_back(span);
+    if (model.size() > capacity) model.pop_front();
+    ++stage_counts["stage/" + span.stage];
+  }
+  tracer.set_clock(nullptr);
+
+  expect_same_spans(tracer.spans(), model);
+  EXPECT_EQ(tracer.completed() - completed_before, 3 * capacity);
+  for (std::uint64_t op : {model.front().op, model.back().op,
+                           std::uint64_t{4999}, std::uint64_t{6000}}) {
+    std::deque<Span> want;
+    for (const Span& s : model) {
+      if (s.op == op) want.push_back(s);
+    }
+    expect_same_spans(tracer.spans_for(OpId{op}), want);
+    for (const std::string& stage : stages) {
+      bool found = false;
+      for (const Span& s : want) found = found || s.stage == stage;
+      EXPECT_EQ(tracer.has_span(OpId{op}, stage), found) << op << " " << stage;
+    }
+    EXPECT_FALSE(tracer.has_span(OpId{op}, "no-such-stage"));
+  }
+  EXPECT_EQ(jsonl_of(tracer), reference_jsonl(model));
+  EXPECT_EQ(rec.dump_string(), reference_dump(model, rec.capacity()));
+  for (const auto& [name, count] : stage_counts) {
+    EXPECT_EQ(Registry::instance().histogram(name).count(), count) << name;
+  }
+
+  // Shrinking keeps the newest spans; growing keeps them all and fills on.
+  auto record_more = [&](std::size_t n, std::size_t cap) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Span span;
+      span.op = 10000 + i;
+      span.stage = stages[i % stages.size()];
+      span.component = components[i % components.size()];
+      span.begin = static_cast<SimTime>(i);
+      span.end = span.begin + 7;
+      tracer.record(OpId{span.op}, span.stage.c_str(),
+                    span.component.c_str(), span.begin, span.end);
+      model.push_back(span);
+      while (model.size() > cap) model.pop_front();
+    }
+  };
+  tracer.set_capacity(100);
+  while (model.size() > 100) model.pop_front();
+  expect_same_spans(tracer.spans(), model);
+  record_more(150, 100);
+  expect_same_spans(tracer.spans(), model);
+  tracer.set_capacity(300);
+  expect_same_spans(tracer.spans(), model);
+  record_more(450, 300);
+  expect_same_spans(tracer.spans(), model);
+  EXPECT_EQ(jsonl_of(tracer), reference_jsonl(model));
+
+  tracer.set_capacity(capacity);
+  tracer.reset();
+  rec.clear();
+  Registry::instance().reset();
+}
+
+TEST(TracerFootprint, TwoRingsOfSpansFitTheRecordRing) {
+  SS_REQUIRE_HEAP_USAGE();
+  Tracer& tracer = Tracer::instance();
+  tracer.reset();
+  const std::size_t before = test::heap_in_use();
+  // The spans a replica's Adapter records: two stages, one component.
+  for (std::uint64_t op = 1; op <= tracer.capacity(); ++op) {
+    tracer.record(OpId{op}, "master", "adapter/0", 1000, 2000);
+    tracer.record(OpId{op}, "adapter", "adapter/0", 1000, 3000);
+  }
+  const std::size_t used = test::heap_in_use() - before;
+  EXPECT_LE(used, 320u * 1024) << used << " bytes";
   tracer.reset();
 }
 

@@ -864,10 +864,24 @@ TEST_P(MasterState, RestoreRejectsTruncatedEventAndTrailingByte) {
   MasterHarness other(GetParam());
   other.master.handlers(other.item)
       .emplace<MonitorHandler>(MonitorHandler::Condition::kAbove, 10.0);
+  // State of its own, which a rejected snapshot must leave as it was.
+  ItemUpdate update;
+  update.item = other.item;
+  update.value = Variant{99.0};
+  other.master.handle(ScadaMessage{update}, other.ctx(1, millis(1)),
+                      "frontend");
+  const Bytes before = other.master.snapshot();
   EXPECT_THROW(other.master.restore(truncated), DecodeError);
+  EXPECT_EQ(other.master.snapshot(), before);
   Bytes trailing = snap;
   trailing.push_back(0);
   EXPECT_THROW(other.master.restore(trailing), DecodeError);
+  EXPECT_EQ(other.master.snapshot(), before);
+  Bytes short_historian(snap.begin(), snap.end() - 1);
+  EXPECT_THROW(other.master.restore(short_historian), DecodeError);
+  EXPECT_EQ(other.master.snapshot(), before);
+  other.master.restore(snap);
+  EXPECT_EQ(other.master.snapshot(), snap);
 }
 
 INSTANTIATE_TEST_SUITE_P(Retention, MasterState, ::testing::Values(0u, 4u));
