@@ -51,20 +51,22 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bft/client.h"
 #include "bft/replica.h"
+#include "common/file.h"
 #include "common/logging.h"
 #include "core/adapter.h"
 #include "core/nodes.h"
@@ -615,25 +617,30 @@ struct TraceSpan {
   long long dur_ns = 0;
 };
 
-bool extract_str(const std::string& line, const char* key, std::string& out) {
-  std::string needle = std::string("\"") + key + "\":\"";
+bool extract_str(std::string_view line, const char* key, std::string& out) {
+  const std::string needle = std::string("\"") + key + "\":\"";
   std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
+  if (pos == std::string_view::npos) return false;
   pos += needle.size();
-  std::size_t close = line.find('"', pos);
-  if (close == std::string::npos) return false;
+  const std::size_t close = line.find('"', pos);
+  if (close == std::string_view::npos) return false;
   out = line.substr(pos, close - pos);
   return true;
 }
 
-bool extract_num(const std::string& line, const char* key, long long& out) {
-  std::string needle = std::string("\"") + key + "\":";
-  std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  out = std::strtoll(line.c_str() + pos + needle.size(), nullptr, 10);
+bool extract_num(std::string_view line, const char* key, long long& out) {
+  const std::string needle = std::string("\"") + key + "\":";
+  const std::size_t pos = line.find(needle);
+  if (pos == std::string_view::npos) return false;
+  const char* begin = line.data() + pos + needle.size();
+  out = 0;
+  std::from_chars(begin, line.data() + line.size(), out);
   return true;
 }
 
+/// The spans of every trace-* file in `dir`. A file that cannot be read
+/// is reported and skipped: the merge is a diagnostic, not the run's
+/// verdict.
 std::vector<TraceSpan> load_trace_dir(const std::string& dir) {
   std::vector<TraceSpan> spans;
   DIR* d = ::opendir(dir.c_str());
@@ -641,9 +648,19 @@ std::vector<TraceSpan> load_trace_dir(const std::string& dir) {
   while (dirent* entry = ::readdir(d)) {
     std::string name = entry->d_name;
     if (name.rfind("trace-", 0) != 0) continue;
-    std::ifstream in(dir + "/" + name);
-    std::string line;
-    while (std::getline(in, line)) {
+    std::optional<Bytes> file;
+    try {
+      file = read_whole_file(dir + "/" + name);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "deploy: skipping trace file: %s\n", e.what());
+    }
+    if (!file) continue;
+    const std::string contents = string_of(*file);
+    std::string_view text = contents;
+    while (!text.empty()) {
+      const std::size_t eol = std::min(text.find('\n'), text.size());
+      const std::string_view line = text.substr(0, eol);
+      text.remove_prefix(std::min(eol + 1, text.size()));
       TraceSpan s;
       long long op = 0;
       if (!extract_num(line, "op", op)) continue;
@@ -789,10 +806,8 @@ int run_local(const char* self, const GroupConfig& group,
   net::Resolver resolver = make_resolver(group.n, "127.0.0.1", base_port);
   std::string config =
       "/tmp/smart-scada-deploy-" + std::to_string(::getpid()) + ".conf";
-  {
-    std::ofstream out(config);
-    out << resolver.to_text();
-  }
+  // Throws (and `deploy local` exits 1) when the config cannot be written.
+  storage::PosixEnv().write_file(config, bytes_of(resolver.to_text()));
 
   // Each child dumps its spans into this directory at exit; we merge them
   // into one op timeline after the run. An SS_TRACE_DIR inherited from the

@@ -1,8 +1,8 @@
 #include "net/resolver.h"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/file.h"
 
 namespace ss::net {
 
@@ -70,11 +70,9 @@ Resolver Resolver::parse(std::string_view text) {
 }
 
 Resolver Resolver::from_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open resolver config: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
+  const std::optional<Bytes> text = read_whole_file(path);
+  if (!text) throw std::runtime_error("cannot open resolver config: " + path);
+  return parse(string_of(*text));
 }
 
 void Resolver::add(std::string name, SocketAddress address) {
@@ -94,11 +92,16 @@ std::vector<std::string> Resolver::names() const {
 }
 
 std::string Resolver::to_text() const {
-  std::ostringstream out;
+  std::string out;
   for (const auto& [name, addr] : entries_) {
-    out << name << ' ' << addr.host << ':' << addr.port << '\n';
+    out += name;
+    out += ' ';
+    out += addr.host;
+    out += ':';
+    out += std::to_string(addr.port);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace ss::net

@@ -33,7 +33,10 @@ class Resolver {
   /// Parses config text; throws std::runtime_error on malformed lines.
   static Resolver parse(std::string_view text);
 
-  /// Loads and parses a config file; throws std::runtime_error.
+  /// Loads and parses a config file through read_whole_file (no C++
+  /// stream). Throws std::runtime_error: "cannot open resolver config" when
+  /// the file does not exist, the errno text when it cannot be read (a
+  /// directory, say), or the parse error.
   static Resolver from_file(const std::string& path);
 
   void add(std::string name, SocketAddress address);

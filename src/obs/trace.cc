@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstring>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -67,20 +68,20 @@ FlightRecorder::Window FlightRecorder::window() const {
 
 std::size_t FlightRecorder::size() const { return window().events; }
 
-std::string FlightRecorder::dump_string() const {
+template <typename Emit>
+void FlightRecorder::write_pieces(Emit&& emit) const {
   const Tracer& tracer = Tracer::instance();
   const std::size_t spans = tracer.span_count();
   Window w = window();
-  std::string out;
   char line[160];
   std::snprintf(line, sizeof(line),
                 "--- flight recorder (%zu of last %zu events) ---\n",
                 w.events, capacity_);
-  out += line;
+  emit(std::string_view(line));
   auto stamp = [&](SimTime at) {
     std::snprintf(line, sizeof(line), "[%12.3fms] ",
                   static_cast<double>(at) / kNanosPerMilli);
-    out += line;
+    emit(std::string_view(line));
   };
   while (w.span < spans || w.note < ring_.size()) {
     // A note precedes span number j iff fewer than j + 1 spans had
@@ -90,7 +91,7 @@ std::string FlightRecorder::dump_string() const {
          ring_[w.note].spans_before <= w.first + w.span)) {
       const Entry& e = ring_[w.note++];
       stamp(e.at);
-      out += e.text;
+      emit(std::string_view(e.text));
     } else {
       const Span span = tracer.span(w.span++);
       stamp(span.end);
@@ -99,17 +100,37 @@ std::string FlightRecorder::dump_string() const {
                     "ns",
                     span.op, span.stage.c_str(), span.component.c_str(),
                     span.duration());
-      out += line;
+      emit(std::string_view(line));
     }
-    out.push_back('\n');
+    emit(std::string_view("\n"));
   }
-  out += "--- end flight recorder ---\n";
+  emit(std::string_view("--- end flight recorder ---\n"));
+}
+
+std::string FlightRecorder::dump_string() const {
+  std::string out;
+  write_pieces([&out](std::string_view piece) { out += piece; });
   return out;
 }
 
 void FlightRecorder::dump(std::FILE* out) const {
-  const std::string s = dump_string();
-  std::fwrite(s.data(), 1, s.size(), out);
+  // Pieces are batched through a stack buffer: stderr is unbuffered, and a
+  // write(2) per piece would make one dump thousands of system calls.
+  char buf[4096];
+  std::size_t used = 0;
+  write_pieces([&](std::string_view piece) {
+    if (used + piece.size() > sizeof(buf)) {
+      std::fwrite(buf, 1, used, out);
+      used = 0;
+    }
+    if (piece.size() > sizeof(buf)) {
+      std::fwrite(piece.data(), 1, piece.size(), out);
+      return;
+    }
+    std::memcpy(buf + used, piece.data(), piece.size());
+    used += piece.size();
+  });
+  std::fwrite(buf, 1, used, out);
   std::fflush(out);
 }
 

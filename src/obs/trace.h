@@ -71,7 +71,11 @@ class FlightRecorder {
   /// is recorded here in addition to its normal destination.
   void capture_logs();
 
+  /// The dump as one string; dump() writes the same bytes.
   std::string dump_string() const;
+  /// Writes the dump to `out` as it is formatted, a few lines at a time:
+  /// it builds no string of the whole window, so a dump from a crash or
+  /// signal handler allocates next to nothing.
   void dump(std::FILE* out) const;
   /// Drops the notes and hides every span completed so far; the Tracer
   /// keeps those spans.
@@ -92,6 +96,10 @@ class FlightRecorder {
     std::size_t events = 0;
   };
   Window window() const;
+  /// The one formatting loop behind dump() and dump_string(): passes the
+  /// dump to `emit` in order, as string_views of a few pieces per line.
+  template <typename Emit>
+  void write_pieces(Emit&& emit) const;
 
   std::deque<Entry> ring_;
   std::size_t capacity_ = 4096;

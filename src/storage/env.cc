@@ -5,17 +5,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <stdexcept>
+
+#include "common/file.h"
 
 namespace ss::storage {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what,
-                              const std::string& path) {
-  throw std::runtime_error(what + " " + path + ": " + std::strerror(errno));
-}
 
 class PosixAppendFile final : public AppendFile {
  public:
@@ -48,25 +44,7 @@ class PosixAppendFile final : public AppendFile {
 }  // namespace
 
 std::optional<Bytes> PosixEnv::read_file(const std::string& path) const {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;
-    throw_errno("open", path);
-  }
-  Bytes out;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw_errno("read", path);
-    }
-    if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
-  }
-  ::close(fd);
-  return out;
+  return read_whole_file(path);
 }
 
 void PosixEnv::write_file(const std::string& path, ByteView data) {

@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bft/messages.h"
+#include "common/file.h"
 #include "common/rng.h"
 #include "common/serialization.h"
 #include "core/scada_link.h"
@@ -285,6 +287,96 @@ TEST(Resolver, RejectsMalformedLines) {
   EXPECT_THROW(net::Resolver::parse("name host:99999\n"), std::runtime_error);
   EXPECT_THROW(net::Resolver::parse("name host:0\n"), std::runtime_error);
   EXPECT_THROW(net::Resolver::parse("name host:\n"), std::runtime_error);
+}
+
+/// A fresh directory under /tmp, removed with everything in it on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/ss_net_test_XXXXXX";
+    if (::mkdtemp(tmpl) == nullptr) throw std::runtime_error("mkdtemp");
+    path_ = tmpl;
+  }
+  ~TempDir() {
+    const std::string cmd = "rm -rf " + path_;
+    EXPECT_EQ(std::system(cmd.c_str()), 0);
+  }
+  const std::string& path() const { return path_; }
+  std::string file(const std::string& name) const { return path_ + "/" + name; }
+
+ private:
+  std::string path_;
+};
+
+void write_text(const std::string& path, const std::string& text) {
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(out, nullptr) << path;
+  ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), out), text.size());
+  ASSERT_EQ(std::fclose(out), 0);
+}
+
+/// The message of the std::runtime_error `load` throws ("" if none).
+template <typename Load>
+std::string error_of(Load load) {
+  try {
+    load();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Resolver, FromFileRejectsADirectoryInsteadOfParsingItAsEmpty) {
+  TempDir dir;
+  const std::string error =
+      error_of([&] { net::Resolver::from_file(dir.path()); });
+  EXPECT_NE(error.find(dir.path()), std::string::npos) << error;
+  EXPECT_NE(error.find("Is a directory"), std::string::npos) << error;
+}
+
+TEST(Resolver, FromFileOnAMissingFileSaysCannotOpen) {
+  TempDir dir;
+  const std::string path = dir.file("absent.conf");
+  EXPECT_EQ(error_of([&] { net::Resolver::from_file(path); }),
+            "cannot open resolver config: " + path);
+}
+
+TEST(Resolver, FromFileParsesAConfigLargerThanOneReadChunk) {
+  // Comments and CRLF line ends throughout, and entries straddling every
+  // read() boundary of the shared whole-file reader.
+  std::string text = "# generated deployment map\r\n\r\n";
+  std::uint16_t count = 0;
+  while (text.size() < 2 * kReadChunk + 1000) {
+    text += "# entry " + std::to_string(count) + "\r\n";
+    text += "node/" + std::to_string(count) + " 127.0.0.1:" +
+            std::to_string(1000 + count) + "   # trailing\r\n";
+    ++count;
+  }
+  TempDir dir;
+  write_text(dir.file("big.conf"), text);
+  const net::Resolver r = net::Resolver::from_file(dir.file("big.conf"));
+  ASSERT_EQ(r.size(), count);
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const net::SocketAddress* a = r.lookup("node/" + std::to_string(i));
+    ASSERT_NE(a, nullptr) << i;
+    EXPECT_EQ(*a, (net::SocketAddress{"127.0.0.1",
+                                      static_cast<std::uint16_t>(1000 + i)}));
+  }
+}
+
+TEST(Resolver, ToTextRoundTripsThroughAFileByteForByte) {
+  net::Resolver r;
+  r.add("replica/0", net::SocketAddress{"127.0.0.1", 47000});
+  r.add("proxy/hmi", net::SocketAddress{"localhost", 65535});
+  r.add("adapter/0", net::SocketAddress{"10.0.0.1", 1});
+  const std::string text = r.to_text();
+  EXPECT_EQ(text,
+            "adapter/0 10.0.0.1:1\n"
+            "proxy/hmi localhost:65535\n"
+            "replica/0 127.0.0.1:47000\n");
+  TempDir dir;
+  write_text(dir.file("group.conf"), text);
+  EXPECT_EQ(net::Resolver::from_file(dir.file("group.conf")).to_text(), text);
 }
 
 // ---------------------------------------------------------------------------

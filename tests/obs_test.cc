@@ -3,9 +3,13 @@
 // lifecycle — both in isolation and across a full replicated write round in
 // the sim harness — the span ring against a std::deque<Span> model and its
 // heap footprint, and the flight recorder's bounded window, which merges
-// the Tracer's spans with its own log notes at dump time.
+// the Tracer's spans with its own log notes at dump time and streams the
+// dump without building it in memory.
 #include <gtest/gtest.h>
 
+#include <sys/types.h>
+
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -580,6 +584,63 @@ TEST(FlightRecorderTest, SpanLineFormatIsUnchanged) {
             "dur=2500000ns\n"
             "[       4.000ms] log INFO  net: hello\n"
             "--- end flight recorder ---\n");
+  tracer.reset();
+  rec.clear();
+}
+
+/// An fopencookie sink that checks each flushed chunk against the expected
+/// dump in place (it stores nothing) and samples the heap as it goes.
+struct DumpSink {
+  const std::string* expected = nullptr;
+  std::size_t offset = 0;
+  bool matches = true;
+  std::size_t heap_peak = 0;
+
+  static ssize_t write(void* cookie, const char* buf, std::size_t size) {
+    DumpSink& sink = *static_cast<DumpSink*>(cookie);
+    sink.heap_peak = std::max(sink.heap_peak, test::heap_in_use());
+    sink.matches = sink.matches &&
+                   sink.expected->compare(sink.offset, size, buf, size) == 0;
+    sink.offset += size;
+    return static_cast<ssize_t>(size);
+  }
+};
+
+TEST(FlightRecorderFootprint, FullDumpStreamsWithoutBuildingTheWindow) {
+  SS_REQUIRE_HEAP_USAGE();
+  FlightRecorder& rec = FlightRecorder::instance();
+  Tracer& tracer = Tracer::instance();
+  tracer.reset();
+  rec.clear();
+  // A full span ring with a log line every eighth span: the recorder's
+  // whole 4096-event window is in use.
+  for (std::uint64_t op = 1; op <= tracer.capacity(); ++op) {
+    tracer.record(OpId{op}, "agreement", "replica/0", op * 1000,
+                  op * 1000 + 750);
+    if (op % 8 == 0) {
+      rec.note(op * 1000, "log INFO  replica/0: decided cid=" +
+                              std::to_string(op / 8) + " batch of 3 requests");
+    }
+  }
+  ASSERT_EQ(rec.size(), rec.capacity());
+  const std::string expected = rec.dump_string();
+  ASSERT_GT(expected.size(), 256u * 1024);
+
+  DumpSink sink;
+  sink.expected = &expected;
+  cookie_io_functions_t io{};
+  io.write = &DumpSink::write;
+  std::FILE* out = ::fopencookie(&sink, "w", io);
+  ASSERT_NE(out, nullptr);
+  const std::size_t before = test::heap_in_use();
+  sink.heap_peak = before;
+  rec.dump(out);
+  std::fclose(out);
+
+  EXPECT_TRUE(sink.matches);
+  EXPECT_EQ(sink.offset, expected.size());
+  const std::size_t growth = sink.heap_peak - before;
+  EXPECT_LE(growth, 64u * 1024) << growth << " bytes";
   tracer.reset();
   rec.clear();
 }
