@@ -8,27 +8,13 @@
 // single-threaded prototype) vs conflict-partitioned parallel execution
 // (k lanes, operations on different items run concurrently), at increasing
 // offered load, with the updates spread over 1 or 16 items.
-// PR 6 adds the other half of the ablation: real threads. The second table
-// runs the raw BFT layer (bft_raw's null service) over UDP loopback with
-// one OS thread per replica transport, sweeping the crypto/codec runner
-// (core/runner.h) from inline through pooled:{1,2,4,8} workers, and emits
-// BENCH_parallel.json with ops/s and p99 per worker count.
-#include <unistd.h>
-
-#include <atomic>
+// The lanes are simulated: a real replica process is one thread (DESIGN.md
+// §13).
 #include <cstdio>
-#include <deque>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bft/client.h"
-#include "bft/replica.h"
-#include "core/runner.h"
-#include "net/resolver.h"
-#include "net/socket_transport.h"
 
 namespace ss::bench {
 namespace {
@@ -66,121 +52,6 @@ double run(double rate, std::uint32_t executor_lanes, int items) {
          (static_cast<double>(kMeasure) / kNanosPerSec);
 }
 
-// ---------------------------------------------------------------------------
-// Real-thread sweep: raw BFT over UDP loopback, one thread per replica.
-
-struct SocketResult {
-  double ops_per_sec = 0;
-  std::vector<double> latencies_us;
-};
-
-/// One full raw-BFT run over loopback UDP. `workers` == 0 selects the
-/// InlineRunner (everything on the poll thread); otherwise each replica
-/// gets a PooledOrderedRunner with that many workers, drained through the
-/// transport's pollable eventfd exactly as examples/deploy wires it.
-SocketResult run_socket(std::uint32_t workers, std::uint16_t base_port) {
-  const GroupConfig group = GroupConfig::for_f(1);
-  const crypto::Keychain keys("ablation-parallel");
-
-  net::Resolver resolver;
-  for (ReplicaId id : group.replica_ids()) {
-    resolver.add("replica/" + std::to_string(id.value),
-                 {"127.0.0.1",
-                  static_cast<std::uint16_t>(base_port + id.value)});
-  }
-  resolver.add("client/1",
-               {"127.0.0.1", static_cast<std::uint16_t>(base_port + group.n)});
-
-  bft::ReplicaOptions options;  // zero virtual CPU costs: real CPUs are real
-  options.max_batch = 256;
-  options.checkpoint_interval = 1 << 20;
-  options.request_timeout = seconds(30);  // no leader suspicion under load
-
-  // Construction order doubles as destruction order (reverse): runners are
-  // declared after replicas so their workers stop and join while the
-  // replicas they reference are still alive.
-  std::vector<std::unique_ptr<net::SocketTransport>> transports;
-  std::vector<std::unique_ptr<NullApp>> apps;
-  std::vector<std::unique_ptr<bft::Replica>> replicas;
-  std::vector<std::unique_ptr<core::Runner>> runners;
-  for (ReplicaId id : group.replica_ids()) {
-    transports.push_back(std::make_unique<net::SocketTransport>(resolver));
-    apps.push_back(std::make_unique<NullApp>());
-    replicas.push_back(std::make_unique<bft::Replica>(
-        *transports.back(), group, id, keys, *apps.back(), *apps.back(),
-        options));
-    if (workers > 0) {
-      core::RunnerOptions runner_options;
-      runner_options.tag = "bench-" + std::to_string(id.value);
-      // All four replicas live in this one process: runner metrics would
-      // have their poll threads racing on the global obs registry, so the
-      // bench keeps them off (deploy runs one process per replica and keeps
-      // them on).
-      runner_options.metrics = false;
-      runners.push_back(std::make_unique<core::PooledOrderedRunner>(
-          workers, runner_options));
-      replicas.back()->set_runner(runners.back().get());
-      core::Runner* runner = runners.back().get();
-      transports.back()->add_pollable(runner->notify_fd(),
-                                      [runner] { runner->drain(); });
-    }
-  }
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> loops;
-  for (auto& transport : transports) {
-    transport->set_interrupt_check([&stop] { return stop.load(); });
-    loops.emplace_back([&transport] { transport->run(); });
-  }
-
-  net::SocketTransport client_net(resolver);
-  bft::ClientProxy client(client_net, group, ClientId{1}, keys,
-                          bft::ClientOptions{.reply_timeout = seconds(2)});
-
-  constexpr std::uint32_t kDepth = 64;
-  constexpr std::size_t kPayload = 1024;
-  constexpr SimTime kSocketWarmup = seconds(1);
-  constexpr SimTime kSocketMeasure = seconds(2);
-
-  Bytes payload(kPayload, 0x5a);
-  std::uint64_t completed = 0;
-  bool measuring = false;
-  std::deque<SimTime> issued;
-  std::vector<double> latencies;
-  std::function<void(Bytes)> on_reply = [&](Bytes) {
-    ++completed;
-    if (!issued.empty()) {
-      if (measuring) {
-        latencies.push_back(
-            static_cast<double>(client_net.now() - issued.front()) / 1000.0);
-      }
-      issued.pop_front();
-    }
-    issued.push_back(client_net.now());
-    client.invoke_ordered(payload, on_reply);
-  };
-  for (std::uint32_t i = 0; i < kDepth; ++i) {
-    issued.push_back(client_net.now());
-    client.invoke_ordered(payload, on_reply);
-  }
-
-  client_net.run_until([] { return false; }, kSocketWarmup);
-  measuring = true;
-  const std::uint64_t before = completed;
-  const SimTime measure_start = client_net.now();
-  client_net.run_until([] { return false; }, kSocketMeasure);
-  const SimTime elapsed = client_net.now() - measure_start;
-
-  stop.store(true);
-  for (std::thread& t : loops) t.join();
-
-  return SocketResult{elapsed > 0
-                          ? static_cast<double>(completed - before) /
-                                (static_cast<double>(elapsed) / kNanosPerSec)
-                          : 0.0,
-                      std::move(latencies)};
-}
-
 }  // namespace
 }  // namespace ss::bench
 
@@ -215,40 +86,7 @@ int main() {
       "CBASE-style parallel execution removes the ceiling the paper\n"
       "attributes to the determinism refactor. At 4000/s the protocol\n"
       "thread itself saturates on request receipt - a deeper bottleneck\n"
-      "no execution-side parallelism can fix.\n");
-
-  print_header("Crypto/codec runner sweep (real threads)",
-               "raw BFT over UDP loopback, 1024 B, pipeline depth 64");
-  std::printf("hardware threads available: %u\n",
-              std::thread::hardware_concurrency());
-  std::printf("%-12s %14s %12s %12s\n", "runner", "requests/s", "p50 (us)",
-              "p99 (us)");
-  // Distinct port block per run/process so back-to-back invocations (and
-  // lingering sockets in TIME_WAIT) never collide.
-  std::uint16_t base_port =
-      static_cast<std::uint16_t>(21000 + (getpid() % 1500) * 8);
-  JsonReport json("parallel");
-  struct Sweep {
-    const char* label;
-    std::uint32_t workers;
-  };
-  int step = 0;
-  for (const Sweep& sweep :
-       {Sweep{"inline", 0}, Sweep{"pooled:1", 1}, Sweep{"pooled:2", 2},
-        Sweep{"pooled:4", 4}, Sweep{"pooled:8", 8}}) {
-    SocketResult result = run_socket(
-        sweep.workers,
-        static_cast<std::uint16_t>(base_port + 8 * step++));
-    std::printf("%-12s %14.0f %12.0f %12.0f\n", sweep.label,
-                result.ops_per_sec, percentile(result.latencies_us, 50),
-                percentile(result.latencies_us, 99));
-    json.add(sweep.label, result.ops_per_sec, std::move(result.latencies_us));
-  }
-  json.write();
-  std::printf(
-      "\nreading: with enough cores, moving HMAC verify/sign and codec\n"
-      "work off the poll thread onto pooled workers raises the raw-BFT\n"
-      "ceiling; on a single-core host the sweep is flat (the workers just\n"
-      "time-slice the one CPU) - compare against the multi-core CI run.\n");
+      "no execution-side parallelism can fix. These lanes are simulated:\n"
+      "a real replica process is one thread (DESIGN.md S13).\n");
   return 0;
 }

@@ -97,7 +97,7 @@ inline void drive_open_loop(sim::EventLoop& loop, double rate_per_sec,
   loop.run_until(end + millis(1));
 }
 
-/// Null service for the raw-BFT benches (bft_raw, ablation_parallel): a
+/// Null service for the raw-BFT bench (bft_raw): a
 /// one-byte ack per request, and the executed-request count as its state.
 class NullApp final : public bft::Executable, public bft::Recoverable {
  public:

@@ -35,9 +35,9 @@
 // it on startup; SS_CHECKPOINT_INTERVAL overrides the checkpoint period.
 // With SS_PROACTIVE_PERIOD=<ms> the --supervise loop also reincarnates one
 // replica per period round-robin (core::Supervisor holds the policy).
-// With SS_RUNNER=pooled:<N> each replica fans HMAC verify/sign and message
-// codec out to N worker threads (core::PooledOrderedRunner); the state
-// machine and all sends stay on the poll thread.
+// Every role is one single-threaded process (DESIGN.md §13): a replica
+// verifies, orders, executes and signs on its poll loop, like the paper's
+// SMaRt-SCADA Master.
 //
 // The HMI process drives the paper's two §IV-E use cases end-to-end and is
 // the deployment's exit status: an Item update (RTU sensor -> Frontend ->
@@ -45,6 +45,7 @@
 // agreement -> Frontend -> RTU -> WriteResult back through agreement).
 #include <dirent.h>
 #include <signal.h>
+#include <strings.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -55,7 +56,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -72,7 +72,6 @@
 #include "core/nodes.h"
 #include "core/proxies.h"
 #include "core/replicated_deployment.h"
-#include "core/runner.h"
 #include "core/scada_link.h"
 #include "core/supervisor.h"
 #include "crypto/keychain.h"
@@ -134,11 +133,10 @@ int usage() {
       "       SS_ALARM_THRESHOLD=<v>        attach a Monitor (alarm above v)\n"
       "                                     to the temperature point\n"
       "       SS_METRICS_PERIOD=<s>         dump metrics every s seconds\n"
-      "       SS_RUNNER=inline|pooled:N     replica crypto/codec runner: N\n"
-      "                                     worker threads for HMAC + codec\n"
-      "                                     (default inline, single-threaded)\n"
-      "       SS_RX_BATCH=<n>               datagrams per recvmmsg call\n"
-      "                                     (default 32; 1 = recvfrom)\n");
+      "       SS_RX_BATCH=<n>               datagrams per recvmmsg call, 1-1024\n"
+      "                                     (default 32; 1 = recvfrom)\n"
+      "       SS_LOG=<level>                trace|debug|info|warn|error|off\n"
+      "                                     (default warn)\n");
   return 2;
 }
 
@@ -409,19 +407,6 @@ int run_replica(const std::string& config, GroupConfig group,
   bft::Replica replica(transport, group, ReplicaId{id}, keys, adapter,
                        adapter, replica_options);
   adapter.attach_replica(&replica);
-
-  // SS_RUNNER=pooled:<N> fans HMAC/codec work out to N workers; results
-  // drain back on the poll thread via the runner's eventfd. Constructed
-  // after the replica so its destructor (stop + join workers) runs first —
-  // no task can touch the replica once it is gone.
-  std::unique_ptr<core::Runner> runner =
-      core::make_runner_from_env("replica-" + std::to_string(id));
-  replica.set_runner(runner.get());
-  if (runner->notify_fd() >= 0) {
-    transport.add_pollable(runner->notify_fd(), [&] { runner->drain(); });
-    std::fprintf(stderr, "[replica/%u] runner: %u workers\n", id,
-                 runner->workers());
-  }
 
   bft::ClientProxy timeout_client(
       transport, group, ClientId{core::kAdapterClientBase + id}, keys);
@@ -983,14 +968,13 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string role = argv[1];
 
-  if (const char* level = std::getenv("SS_LOG")) {
-    if (std::strcmp(level, "trace") == 0) {
-      Logger::threshold() = LogLevel::kTrace;
-    } else if (std::strcmp(level, "debug") == 0) {
-      Logger::threshold() = LogLevel::kDebug;
-    } else if (std::strcmp(level, "info") == 0) {
-      Logger::threshold() = LogLevel::kInfo;
+  // SS_LOG names one of the six levels, in any case.
+  if (const char* name = std::getenv("SS_LOG")) {
+    int level = static_cast<int>(LogLevel::kTrace);
+    while (strcasecmp(name, Logger::level_name(LogLevel(level))) != 0) {
+      if (++level > static_cast<int>(LogLevel::kOff)) return usage();
     }
+    Logger::threshold() = LogLevel(level);
   }
 
   std::uint32_t f = 1;
@@ -1030,6 +1014,12 @@ int main(int argc, char** argv) {
   // silently ignored.
   if (sup.kill_replica >= 0 && !sup.enabled) return usage();
   env_settings();  // a malformed numeric SS_* value exits here, via usage()
+  try {
+    net::socket_options_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "deploy: %s\n", e.what());
+    return usage();
+  }
 
   try {
     // SS_PROTOCOL propagates to spawned children, so `deploy local`, each

@@ -1,9 +1,9 @@
 // The agreement-engine seam.
 //
 // bft::ReplicaCore (replica.h) is a protocol-agnostic shell: transport
-// wiring, the runner-based crypto/codec offload, client-request queueing,
-// execution + reply caching, checkpoints, storage/recovery, key epochs, and
-// state transfer. Everything that is *agreement* — proposing, vote
+// wiring, message authentication, client-request queueing, execution +
+// reply caching, checkpoints, storage/recovery, key epochs, and state
+// transfer. Everything that is *agreement* — proposing, vote
 // collection, deciding, and the view change — lives behind the
 // AgreementEngine interface below, so protocols with different quorum
 // structures (PBFT-style 3f+1, MinBFT-style 2f+1) plug in without the
@@ -74,11 +74,11 @@ struct QuorumConfig {
   std::uint32_t view_install = 0;  ///< votes that install a view change
 };
 
-/// Worker-side pre-validation results: pure functions of the wire payload
-/// and the replica's immutable identity (keys, group, id). Computed by
-/// Runner tasks on worker threads, consumed by the driver-side handlers,
-/// which fall back to computing inline when a field is absent (sync-path
-/// proposals, the leader's own proposal).
+/// Pre-validation results: pure functions of the wire payload and the
+/// replica's immutable identity (keys, group, id). Computed by the pure step
+/// (prevalidate), consumed by the stateful handlers, which compute them
+/// themselves when a field is absent (sync-path proposals, the leader's own
+/// proposal).
 struct PrevalidatedBatch {
   bool decoded = false;
   bool auth_ok = false;  ///< every request authenticator verified
@@ -89,23 +89,23 @@ struct PrevalidatedPropose {
   PrevalidatedBatch batch;
 };
 
-/// Engine-specific slice of the worker-side prologue. One struct shared by
-/// all engines keeps the Inbound plumbing protocol-agnostic; each engine
-/// fills (and later consumes) only its own fields.
+/// Engine-specific slice of the pure step. One struct shared by all engines
+/// keeps the Inbound plumbing protocol-agnostic; each engine fills (and
+/// later consumes) only its own fields.
 struct EnginePrevalidated {
   // PBFT: decoded kPropose body + its batch pre-validation.
   std::optional<Propose> propose;
   std::optional<PrevalidatedPropose> propose_pre;
   // MinBFT: decoded kMbPrepare body + its batch pre-validation + the
-  // worker-verified USIG certificate (pure HMAC; the driver still checks
+  // verified USIG certificate (pure HMAC; the stateful handler still checks
   // counter monotonicity, which is mutable state).
   std::optional<MbPrepare> prepare;
   std::optional<PrevalidatedPropose> prepare_pre;
   bool prepare_cert_ok = false;
 };
 
-/// Driver-side services the shell provides to an engine. All methods are
-/// driver-thread only unless noted. Implemented privately by ReplicaCore.
+/// Services the shell provides to an engine. Implemented privately by
+/// ReplicaCore.
 class EngineHost {
  public:
   virtual ~EngineHost() = default;
@@ -164,13 +164,13 @@ class AgreementEngine {
   virtual Protocol protocol() const = 0;
   virtual QuorumConfig quorums() const = 0;
 
-  /// Worker-thread prologue for engine message types: decode + expensive
-  /// pure checks (digests, request authenticators, USIG cert HMACs). Must
-  /// only touch immutable state — it runs concurrently with the driver.
+  /// The pure step for engine message types: decode + expensive checks
+  /// (digests, request authenticators, USIG cert HMACs). Reads only state
+  /// fixed for the engine's lifetime; no replica state changes here.
   virtual void prevalidate(const Envelope& env,
                            EnginePrevalidated& pre) const = 0;
 
-  /// Driver-thread handler for every envelope type the shell does not own.
+  /// The stateful handler for every envelope type the shell does not own.
   /// Decodes env.body itself (DecodeError propagates to the shell's
   /// dispatch guard) and performs its own sender-principal checks.
   virtual void on_message(const Envelope& env, EnginePrevalidated& pre) = 0;

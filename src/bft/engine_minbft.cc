@@ -31,14 +31,14 @@ bool MinBftEngine::counter_fresh(std::map<std::uint32_t, std::uint64_t>& seen,
 }
 
 // --------------------------------------------------------------------------
-// worker-side prologue
+// the pure step
 
 void MinBftEngine::prevalidate(const Envelope& env,
                                EnginePrevalidated& pre) const {
-  // Runs on a runner worker thread: everything it reads is immutable for
-  // the engine's lifetime and every operation (decode, SHA-256, the cert's
-  // HMAC) is pure. Counter *monotonicity* is mutable driver state and is
-  // checked on the driver in handle_prepare.
+  // The pure step: everything it reads is immutable for the engine's
+  // lifetime and every operation (decode, SHA-256, the cert's HMAC) is pure.
+  // Counter *monotonicity* is mutable state and is checked later, in
+  // handle_prepare.
   if (env.type != MsgType::kMbPrepare) return;
   try {
     MbPrepare p = MbPrepare::decode(env.body);
@@ -68,7 +68,7 @@ void MinBftEngine::prevalidate(const Envelope& env,
 }
 
 // --------------------------------------------------------------------------
-// driver-side dispatch
+// stateful dispatch
 
 void MinBftEngine::on_message(const Envelope& env, EnginePrevalidated& pre) {
   switch (env.type) {

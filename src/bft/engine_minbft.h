@@ -170,8 +170,8 @@ class MinBftEngine final : public AgreementEngine {
   std::map<std::uint32_t, MbViewChange> vc_from_;
   bool vc_done_for_view_ = true;
 
-  // Monotonicity frontiers for received USIG counters (driver-side state;
-  // certificate HMAC verification itself is pure and worker-safe).
+  // Monotonicity frontiers for received USIG counters (mutable state;
+  // certificate HMAC verification itself is pure, in prevalidate).
   std::map<std::uint32_t, std::uint64_t> prepare_counters_;
   std::map<std::uint32_t, std::uint64_t> commit_counters_;
   std::map<std::uint32_t, std::uint64_t> vc_counters_;

@@ -17,13 +17,13 @@ PbftEngine::PbftEngine(EngineHost& host, const GroupConfig& group,
       keys_(keys) {}
 
 // --------------------------------------------------------------------------
-// worker-side prologue
+// the pure step
 
 void PbftEngine::prevalidate(const Envelope& env,
                              EnginePrevalidated& pre) const {
-  // Runs on a runner worker thread: everything it reads (endpoint_, keys_,
-  // group_, id_) is immutable for the engine's lifetime, and every
-  // operation (decode, HMAC, SHA-256) is a pure function of its inputs.
+  // The pure step: everything it reads (endpoint_, keys_, group_, id_) is
+  // immutable for the engine's lifetime, and every operation (decode, HMAC,
+  // SHA-256) is a pure function of its inputs.
   if (env.type != MsgType::kPropose) return;
   try {
     Propose p = Propose::decode(env.body);
@@ -50,7 +50,7 @@ void PbftEngine::prevalidate(const Envelope& env,
 }
 
 // --------------------------------------------------------------------------
-// driver-side dispatch
+// stateful dispatch
 
 void PbftEngine::on_message(const Envelope& env, EnginePrevalidated& pre) {
   switch (env.type) {
@@ -149,7 +149,7 @@ void PbftEngine::maybe_propose() {
 
 bool PbftEngine::validate_proposal(Instance& inst, Batch& out_batch) {
   if (inst.prevalidated.has_value()) {
-    // The runner worker already decoded the batch and checked every request
+    // prevalidate() already decoded the batch and checked every request
     // authenticator; only the state-dependent checks remain.
     PrevalidatedBatch pre = std::move(*inst.prevalidated);
     inst.prevalidated.reset();

@@ -57,8 +57,8 @@ class PbftEngine final : public AgreementEngine {
     bool accept_sent = false;
     std::map<ReplicaId, crypto::Digest> writes;
     std::map<ReplicaId, crypto::Digest> accepts;
-    /// Worker-verified batch for this proposal, consumed by
-    /// validate_proposal (absent on the inline fallback paths).
+    /// Batch prevalidate() verified for this proposal, consumed by
+    /// validate_proposal (absent on the fallback paths).
     std::optional<PrevalidatedBatch> prevalidated;
   };
 

@@ -22,7 +22,6 @@ ReplicaCore::ReplicaCore(net::Transport& net, GroupConfig group, ReplicaId id,
       recoverable_(state),
       opt_(options),
       lanes_(net, options.lanes),
-      runner_(options.runner != nullptr ? options.runner : &inline_runner_),
       storage_(options.storage),
       byz_rng_(0xBAD0000 + id.value),
       state_rto_([id] {
@@ -95,21 +94,17 @@ void ReplicaCore::usig_persist_lease(std::uint64_t lease) {
 void ReplicaCore::on_message(net::Message msg) {
   if (crashed_) return;
   lanes_.submit(opt_.per_message_cost + processing_delay_,
-                [this, payload = std::move(msg.payload)]() mutable {
+                [this, payload = std::move(msg.payload)] {
                   if (crashed_) return;
-                  runner_->submit([this, payload = std::move(payload)]()
-                                      -> core::Runner::Solo {
-                    auto in = std::make_shared<Inbound>(prevalidate(payload));
-                    return [this, in] { deliver(std::move(*in)); };
-                  });
+                  deliver(prevalidate(payload));
                 });
 }
 
 ReplicaCore::Inbound ReplicaCore::prevalidate(const Bytes& payload) const {
-  // Runs on a runner worker thread: everything it reads (endpoint_, keys_,
-  // group_, id_, the engine's immutable identity) is fixed for the
-  // replica's lifetime, and every operation (decode, HMAC, SHA-256) is a
-  // pure function of its inputs.
+  // The pure step: everything it reads (endpoint_, keys_, group_, id_, the
+  // engine's immutable identity) is fixed for the replica's lifetime, and
+  // every operation (decode, HMAC, SHA-256) is a pure function of its
+  // inputs.
   Inbound in;
   try {
     in.env = Envelope::decode(payload);
@@ -118,8 +113,8 @@ ReplicaCore::Inbound ReplicaCore::prevalidate(const Bytes& payload) const {
     return in;
   }
   // Verify under the epoch the sender claims; whether that epoch is still
-  // current is a driver-thread policy question (accept_sender_epoch) — here
-  // we only establish that the sender holds the keys for it.
+  // current is a stateful policy question (accept_sender_epoch) — here we
+  // only establish that the sender holds the keys for it.
   Bytes material = envelope_mac_material(in.env.type, in.env.sender, endpoint_,
                                          in.env.epoch, in.env.body);
   if (!keys_.verify(in.env.sender, endpoint_, in.env.epoch, material,
@@ -129,9 +124,9 @@ ReplicaCore::Inbound ReplicaCore::prevalidate(const Bytes& payload) const {
   }
   switch (in.env.type) {
     case MsgType::kClientRequest: {
-      // A failed pre-decode leaves pre.request empty; the driver-side
-      // handler re-decodes inline and counts the failure there, keeping
-      // the stats accounting in one place.
+      // A failed pre-decode leaves pre.request empty; the stateful handler
+      // re-decodes and counts the failure there, keeping the stats
+      // accounting in one place.
       try {
         ClientRequest req = ClientRequest::decode(in.env.body);
         in.pre.request_auth_ok =
@@ -144,8 +139,8 @@ ReplicaCore::Inbound ReplicaCore::prevalidate(const Bytes& payload) const {
       break;
     }
     default:
-      // Engine message types get their own worker-side prologue; anything
-      // else is cheap and decoded on the driver.
+      // Engine message types get their own pure step; anything else is
+      // cheap and decoded by its handler.
       engine_->prevalidate(in.env, in.pre.engine);
       break;
   }
@@ -218,27 +213,16 @@ void ReplicaCore::send_envelope(const std::string& to, MsgType type,
   if (byzantine_ == ByzantineMode::kCorruptVotes) {
     engine_->corrupt_vote_for_test(type, body);
   }
-  // MAC + wire encoding are pure: offload them to the runner. The solo only
-  // hands the finished bytes to the transport, so outbound messages leave
-  // in submission order from the driver thread. key_epoch_ is captured here,
-  // on the driver thread — workers never read the mutable member.
-  runner_->submit(
-      [this, to, type, epoch = key_epoch_,
-       body = std::move(body)]() mutable -> core::Runner::Solo {
-        Envelope env;
-        env.type = type;
-        env.sender = endpoint_;
-        env.epoch = epoch;
-        env.body = std::move(body);
-        env.mac = keys_.mac(
-            endpoint_, to, epoch,
-            envelope_mac_material(type, endpoint_, to, epoch, env.body));
-        auto wire = std::make_shared<Bytes>(env.encode());
-        return [this, to = std::move(to), wire] {
-          if (crashed_) return;
-          net_.send(endpoint_, to, std::move(*wire));
-        };
-      });
+  if (crashed_) return;
+  Envelope env;
+  env.type = type;
+  env.sender = endpoint_;
+  env.epoch = key_epoch_;
+  env.body = std::move(body);
+  env.mac = keys_.mac(
+      endpoint_, to, key_epoch_,
+      envelope_mac_material(type, endpoint_, to, key_epoch_, env.body));
+  net_.send(endpoint_, to, env.encode());
 }
 
 void ReplicaCore::broadcast(MsgType type, const Bytes& body) {
@@ -253,8 +237,8 @@ void ReplicaCore::broadcast(MsgType type, const Bytes& body) {
 
 void ReplicaCore::handle_client_request(const Envelope& env,
                                         Prevalidated& pre) {
-  // Decode and authenticator verification are worker-side when the message
-  // came through prevalidate(); the inline fallback covers everything else.
+  // Decode and authenticator verification already ran when the message
+  // came through prevalidate(); the fallback covers everything else.
   ClientRequest req;
   bool auth_ok;
   if (pre.request.has_value()) {

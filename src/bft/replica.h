@@ -3,8 +3,8 @@
 // One ReplicaCore pairs with one application (in SMaRt-SCADA: the Adapter
 // wrapping a deterministic SCADA Master) and one AgreementEngine
 // (engine.h). The shell owns everything protocol-agnostic — transport
-// wiring, the runner-based crypto/codec offload, client-request queueing
-// and flood protection, execution + reply caching, checkpoints, durable
+// wiring, message authentication, client-request queueing and flood
+// protection, execution + reply caching, checkpoints, durable
 // storage/recovery, session-key epochs, and snapshot state transfer — and
 // routes agreement traffic to the engine selected by GroupConfig::protocol
 // (PBFT-style 3f+1 or MinBFT-style 2f+1; see DESIGN.md §16).
@@ -30,7 +30,6 @@
 #include "bft/messages.h"
 #include "common/config.h"
 #include "common/rng.h"
-#include "core/runner.h"
 #include "crypto/keychain.h"
 #include "net/backoff.h"
 #include "net/lanes.h"
@@ -63,13 +62,6 @@ struct ReplicaOptions {
   /// traffic from before the reincarnation) and rejected afterwards — the
   /// bound on how long session keys stolen before a reboot stay useful.
   SimTime epoch_handover_window = seconds(2);
-  /// Crypto/codec runner (core/runner.h): HMAC verify of inbound messages,
-  /// HMAC sign + encode of outbound ones, and message decode run as runner
-  /// tasks; the state machine stays on the driver thread. Null selects the
-  /// replica's own InlineRunner (fully synchronous — the simulated backend
-  /// stays byte-identical). Not owned; must outlive the replica unless
-  /// swapped out via set_runner() first.
-  core::Runner* runner = nullptr;
   /// Durable store (storage/replica_storage.h). With one attached, every
   /// decided batch is logged (fsync'd) before it executes and checkpoints
   /// are written to disk. Not owned; must outlive the replica.
@@ -201,23 +193,12 @@ class ReplicaCore final : private EngineHost {
   /// attached).
   std::uint32_t key_epoch() const { return key_epoch_; }
   /// Adopts an outbound key epoch explicitly — a freshly exec'd replica
-  /// process installs the epoch its supervisor bumped at spawn. Driver
-  /// thread only.
+  /// process installs the epoch its supervisor bumped at spawn.
   void set_key_epoch(std::uint32_t epoch) { key_epoch_ = epoch; }
 
-  /// DEPRECATED alongside set_storage(): pass ReplicaOptions::runner at
-  /// construction. Retained because the runner seam's determinism
-  /// regression swaps runners mid-lifetime on purpose. Drain the old runner
-  /// before swapping: in-flight tasks capture `this` and deliver through
-  /// whichever runner ran them.
-  void set_runner(core::Runner* runner) {
-    runner_ = runner != nullptr ? runner : &inline_runner_;
-  }
-  core::Runner& runner() { return *runner_; }
-
  private:
-  /// One inbound message after the worker-side prologue (decode + MAC
-  /// verify + pre-validation), delivered to the driver in receive order.
+  /// One inbound message after the pure step (decode + MAC verify +
+  /// pre-validation), handed to the stateful step.
   struct Prevalidated {
     std::optional<ClientRequest> request;  ///< decoded kClientRequest body
     bool request_auth_ok = false;
@@ -232,7 +213,7 @@ class ReplicaCore final : private EngineHost {
 
   using PendingKey = std::pair<std::uint64_t, std::uint64_t>;  // client, seq
 
-  // --- EngineHost (driver-side services for the agreement engine) ---------
+  // --- EngineHost (the shell's services for the agreement engine) --------
   SimTime now() const override { return net_.now(); }
   void schedule(SimTime delay, std::function<void()> fn) override;
   void send_to_replica(ReplicaId to, MsgType type, Bytes body) override;
@@ -254,17 +235,17 @@ class ReplicaCore final : private EngineHost {
 
   // --- networking ---------------------------------------------------------
   void on_message(net::Message msg);
-  /// Worker-thread prologue: decode + MAC verify + per-type pre-validation.
-  /// Must only touch immutable state (it runs concurrently with the driver).
+  /// The pure step: decode + MAC verify + per-type pre-validation. Reads
+  /// only state fixed for the replica's lifetime.
   Inbound prevalidate(const Bytes& payload) const;
-  /// Driver-thread epilogue: stats for failed prologues, then dispatch.
+  /// The stateful step: stats for failed pure steps, then dispatch.
   void deliver(Inbound in);
   void dispatch(Envelope env, Prevalidated pre);
   void send_envelope(const std::string& to, MsgType type, Bytes body);
   void broadcast(MsgType type, const Bytes& body);
-  /// Key-epoch recency policy for replica-to-replica traffic (driver
-  /// thread; mutates peer_epochs_). The MAC already verified under the
-  /// claimed epoch — this decides whether that epoch is still current.
+  /// Key-epoch recency policy for replica-to-replica traffic (mutates
+  /// peer_epochs_). The MAC already verified under the claimed epoch —
+  /// this decides whether that epoch is still current.
   bool accept_sender_epoch(const std::string& sender, std::uint32_t epoch);
   void note_rejoin_complete();
 
@@ -298,8 +279,6 @@ class ReplicaCore final : private EngineHost {
   Recoverable& recoverable_;
   ReplicaOptions opt_;
   net::Lanes lanes_;
-  core::InlineRunner inline_runner_;
-  core::Runner* runner_;  // never null; defaults to &inline_runner_
 
   ConsensusId last_decided_{0};
   SimTime last_timestamp_ = 0;

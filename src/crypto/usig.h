@@ -61,7 +61,7 @@ class Usig {
   std::uint64_t counter() const { return counter_; }
 
   /// Verifies that `cert` seals `material` under `signer`'s trusted
-  /// counter. Pure function of its inputs — safe from worker threads.
+  /// counter. Pure function of its inputs.
   static bool verify(const Keychain& keys, ReplicaId signer, ByteView material,
                      const UsigCert& cert);
 

@@ -63,8 +63,14 @@ bool to_sockaddr(const SocketAddress& address, sockaddr_in* out) {
 
 SocketOptions socket_options_from_env(SocketOptions base) {
   if (const char* v = std::getenv("SS_RX_BATCH")) {
-    long n = std::strtol(v, nullptr, 10);
-    if (n >= 1 && n <= 1024) base.rx_batch = static_cast<std::size_t>(n);
+    char* end = nullptr;
+    errno = 0;
+    long n = std::strtol(v, &end, 10);
+    if (end == v || *end != '\0' || errno == ERANGE || n < 1 || n > 1024) {
+      throw std::invalid_argument("SS_RX_BATCH=" + std::string(v) +
+                                  ": want an integer in [1, 1024]");
+    }
+    base.rx_batch = static_cast<std::size_t>(n);
   }
   return base;
 }
@@ -539,19 +545,6 @@ void SocketTransport::fire_due_timers() {
   }
 }
 
-void SocketTransport::add_pollable(int fd, std::function<void()> on_ready) {
-  pollables_.emplace_back(fd, std::move(on_ready));
-}
-
-void SocketTransport::remove_pollable(int fd) {
-  for (auto it = pollables_.begin(); it != pollables_.end(); ++it) {
-    if (it->first == fd) {
-      pollables_.erase(it);
-      return;
-    }
-  }
-}
-
 void SocketTransport::expire_reassemblies() {
   SimTime t = now();
   if (t - last_gc_ < kReassemblyTimeout / 2) return;
@@ -569,8 +562,7 @@ void SocketTransport::expire_reassemblies() {
 std::size_t SocketTransport::poll_once(SimTime max_wait) {
 #ifndef NDEBUG
   // Bind the loop to its first caller, then hold every later iteration to
-  // it: delivery, timers, and pollable (runner-drain) callbacks must share
-  // one thread — see the threading contract in the header.
+  // it: delivery and timers must share one thread — see the header.
   if (loop_thread_ == std::thread::id{}) {
     loop_thread_ = std::this_thread::get_id();
   }
@@ -593,16 +585,8 @@ std::size_t SocketTransport::poll_once(SimTime max_wait) {
   snapshot.reserve(endpoints_.size());
   for (const auto& [name, ep] : endpoints_) snapshot.emplace_back(name, ep.fd);
   std::vector<pollfd> fds;
-  fds.reserve(snapshot.size() + pollables_.size());
+  fds.reserve(snapshot.size());
   for (const auto& [name, fd] : snapshot) {
-    fds.push_back(pollfd{fd, POLLIN, 0});
-  }
-  // Pollables after the sockets; their fds are snapshotted too, since a
-  // callback may add/remove pollables.
-  std::vector<int> extra;
-  extra.reserve(pollables_.size());
-  for (const auto& [fd, cb] : pollables_) {
-    extra.push_back(fd);
     fds.push_back(pollfd{fd, POLLIN, 0});
   }
 
@@ -617,21 +601,6 @@ std::size_t SocketTransport::poll_once(SimTime max_wait) {
       if (fds[i].revents & (POLLIN | POLLERR)) {
         read_socket(snapshot[i].first, snapshot[i].second);
       }
-    }
-    for (std::size_t i = 0; i < extra.size(); ++i) {
-      if ((fds[snapshot.size() + i].revents & (POLLIN | POLLERR)) == 0) {
-        continue;
-      }
-      // Re-look-up by fd and copy the callback: it may add/remove
-      // pollables itself, reallocating the vector mid-call.
-      std::function<void()> cb;
-      for (const auto& [fd, fn] : pollables_) {
-        if (fd == extra[i]) {
-          cb = fn;
-          break;
-        }
-      }
-      if (cb) cb();
     }
   }
 

@@ -9,19 +9,12 @@
 // sendmmsg(2) (falling back to sendto(2)); incoming ones are drained with
 // recvmmsg(2) into a lazily resident slab; timers live in a min-heap that
 // drives the poll timeout. Single-threaded by design, like the simulated
-// loop: handlers and timer actions run on the polling thread and never
-// re-entrantly inside send().
-//
-// Threading contract: everything on this class — attach/detach, send,
-// poll_once/run, handlers, timer actions, and the pollable callbacks
-// registered via add_pollable — runs on ONE thread, the poll-loop thread.
-// Debug builds assert it (poll_once binds the loop to the first calling
-// thread). This is what lets a core::PooledOrderedRunner coexist with the
-// transport: its worker threads never touch the transport; they signal an
-// eventfd that is registered here as a pollable, so the runner's completion
-// drain (and thus every replica state mutation and every send) happens on
-// the same thread that delivers messages — the PR 3 reassembly state, the
-// outbox, and the handler map all stay single-threaded.
+// loop: everything on this class — attach/detach, send, poll_once/run,
+// handlers and timer actions — runs on the one thread that polls it, and
+// handlers never run re-entrantly inside send(). Debug builds assert it
+// (poll_once binds the loop to the first calling thread). A deploy process
+// is one such thread (DESIGN.md §13), so the reassembly state, the outbox
+// and the handler map need no locks.
 //
 // Delivery is UDP: unreliable and unordered. That is exactly the fault
 // model the BFT stack already tolerates (clients retransmit, replicas
@@ -61,7 +54,8 @@ struct SocketOptions {
 };
 
 /// `base` with SS_RX_BATCH=<n> (RX ring size, 1 = recvfrom path) applied on
-/// top.
+/// top. Throws std::invalid_argument, naming the variable, when the value is
+/// not an integer in [1, 1024].
 SocketOptions socket_options_from_env(SocketOptions base = {});
 
 struct SocketStats {
@@ -119,13 +113,6 @@ class SocketTransport final : public Transport {
   bool run_until(const std::function<bool()>& done, SimTime timeout);
 
   void stop() { stopped_ = true; }
-
-  /// Adds an external fd (e.g. a runner's completion eventfd) to the poll
-  /// set; `on_ready` runs on the poll-loop thread whenever the fd is
-  /// readable. The callback consumes the readiness itself (read the fd).
-  /// The fd is not owned; remove it before closing it.
-  void add_pollable(int fd, std::function<void()> on_ready);
-  void remove_pollable(int fd);
 
   /// Optional hook polled every iteration (e.g. a signal flag); returning
   /// true stops the loop.
@@ -205,9 +192,6 @@ class SocketTransport final : public Transport {
   std::map<std::tuple<std::string, std::uint64_t, std::string>, Reassembly>
       reassembly_;
   SimTime last_gc_ = 0;
-
-  /// External fds (runner eventfds) polled alongside the sockets.
-  std::vector<std::pair<int, std::function<void()>>> pollables_;
 
   /// RX slots for both read paths; recvfrom reads into slot 0.
   std::unique_ptr<RxRing> rx_ring_;

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -784,6 +785,28 @@ TEST(BatchedRx, RingIsResidentOnlyWhereDatagramsLand) {
   const auto [constructed, drained] = growth(net::SocketOptions{}.rx_batch);
   EXPECT_LT(constructed, kBoundKib) << "at construction";
   EXPECT_LT(drained, kBoundKib) << "after 32 datagrams";
+}
+
+TEST(SocketOptionsFromEnv, RxBatchTakesAWholeNumberInRange) {
+  net::SocketOptions base;
+  base.rx_batch = 5;
+  ::unsetenv("SS_RX_BATCH");
+  EXPECT_EQ(net::socket_options_from_env(base).rx_batch, 5u);
+  ::setenv("SS_RX_BATCH", "8", 1);
+  EXPECT_EQ(net::socket_options_from_env(base).rx_batch, 8u);
+  // Each of these used to leave the base value (or, for "16k", 16) in
+  // place without a word.
+  for (const char* bad : {"abc", "0", "1025", "16k", ""}) {
+    ::setenv("SS_RX_BATCH", bad, 1);
+    try {
+      net::socket_options_from_env(base);
+      ADD_FAILURE() << "SS_RX_BATCH=" << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SS_RX_BATCH"), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("SS_RX_BATCH");
 }
 
 TEST_P(CorruptionRejection, CorruptedScadaFramesFailHmacVerification) {

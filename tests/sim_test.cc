@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/replicated_deployment.h"
-#include "core/runner.h"
 #include "net/lanes.h"
 #include "obs/trace.h"
 #include "scada/messages.h"
@@ -297,30 +296,16 @@ TEST(Lanes, ZeroCostCompletesImmediately) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner-seam determinism regression (PR 6)
-//
-// The runner seam threaded through bft::Replica must be invisible to the
-// simulator: a full replicated write round produces the exact same virtual
-// timeline (trace spans), the same wire traffic, and the same replica state
-// bytes whether the replicas use their built-in InlineRunner or one we
-// install explicitly. Run twice with defaults to establish the baseline is
-// itself reproducible, then once with explicit runners — all three
-// signatures must be byte-identical.
+// Golden write round
 
 namespace {
 
 /// Full-fidelity signature of one simulated write round: every trace span
 /// (op, stage, component, virtual begin/end), the network counters, the
 /// final virtual time, and each replica's full state snapshot bytes.
-std::string write_round_signature(bool explicit_inline_runner) {
+std::string write_round_signature() {
   obs::Tracer::instance().reset();
   core::ReplicatedDeployment system;
-  std::vector<core::InlineRunner> runners(system.n());
-  if (explicit_inline_runner) {
-    for (std::uint32_t i = 0; i < system.n(); ++i) {
-      system.replica(i).set_runner(&runners[i]);
-    }
-  }
   ItemId item = system.add_point("breaker/1", scada::Variant{0.0});
   system.start();
 
@@ -359,17 +344,6 @@ std::string write_round_signature(bool explicit_inline_runner) {
 
 }  // namespace
 
-TEST(RunnerDeterminism, InlineRunnerLeavesSimTimelineUnchanged) {
-  std::string baseline = write_round_signature(false);
-  EXPECT_FALSE(baseline.empty());
-  EXPECT_NE(baseline.find("agreement"), std::string::npos)
-      << "write round never reached the BFT layer";
-  EXPECT_EQ(write_round_signature(false), baseline)
-      << "sim run is not reproducible at all";
-  EXPECT_EQ(write_round_signature(true), baseline)
-      << "explicit InlineRunner changed the simulated timeline or bytes";
-}
-
 // The agreement-engine seam (PR 9) must be byte-invisible: the same write
 // round, replayed through the refactored PBFT engine, must reproduce the
 // exact signature recorded from the pre-refactor monolithic replica —
@@ -384,7 +358,7 @@ TEST(EngineSeam, PbftEngineMatchesPreRefactorGolden) {
   std::string golden((std::istreambuf_iterator<char>(golden_file)),
                      std::istreambuf_iterator<char>());
   ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(write_round_signature(false), golden)
+  EXPECT_EQ(write_round_signature(), golden)
       << "engine seam changed observable behaviour vs the pre-refactor "
          "recording";
 }
