@@ -4,17 +4,16 @@
 // what resilience costs under both agreement engines: PBFT (n = 3f+1,
 // 2f+1 write quorum) vs MinBFT (n = 2f+1, f+1 commit quorum backed by the
 // USIG trusted counter). For each protocol x f in {1, 2} it reports the
-// Fig 8(a) update throughput and the synchronous write rate, in two
+// Fig 8(a) delivered update rate and the synchronous write rate, in two
 // backends:
 //
-//  * sim (default): the deterministic in-process ReplicatedDeployment in
+//  * sim (always): the deterministic in-process ReplicatedDeployment in
 //    virtual time — CI-stable numbers.
-//  * socket (--socket, or default when SS_ABLATION_SOCKET=1): forks the
-//    `deploy` binary's replica role n times with SS_PROTOCOL exported
-//    (bench/socket_harness.h) and drives synchronous HMI writes over real
-//    UDP — the same processes the paper's testbed ran, so protocol
-//    message-count differences (4 vs 3 replicas at f=1) show up as
-//    wall-clock write rates.
+//  * socket (--socket): forks the `deploy` binary's replica role n times
+//    with SS_PROTOCOL exported (bench/socket_harness.h) and drives
+//    synchronous HMI writes over real UDP — the same processes the paper's
+//    testbed ran, so protocol message-count differences (4 vs 3 replicas at
+//    f=1) show up as wall-clock write rates.
 //
 // Emits BENCH_ablation_f.json with one record per (backend, protocol, f,
 // metric).
@@ -23,11 +22,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/socket_harness.h"
 
 namespace ss::bench {
 namespace {
@@ -39,114 +36,44 @@ constexpr SimTime kSocketWarmup = seconds(1);
 constexpr SimTime kSocketMeasure = seconds(3);
 
 core::ReplicatedOptions make_options(Protocol protocol, std::uint32_t f) {
-  core::ReplicatedOptions options;
+  core::ReplicatedOptions options = replicated_options();
   options.group = GroupConfig::for_protocol(protocol, f);
-  options.costs = sim::CostModel::paper_testbed();
-  options.storage_retention = 1024;
-  options.checkpoint_interval = 4096;
-  options.client_reply_timeout = seconds(60);
-  options.request_timeout = seconds(60);
   return options;
 }
 
-struct Result {
-  double updates = 0;
-  double writes = 0;
-};
-
-Result run_sim(Protocol protocol, std::uint32_t f) {
-  Result result;
-  {
-    core::ReplicatedDeployment system(make_options(protocol, f));
-    ItemId item = system.add_point("feeder");
-    system.start();
-    std::uint64_t count = 0;
-    auto tick = [&](SimTime) {
-      system.frontend().field_update(item, scada::Variant{double(count++)});
-    };
-    drive_open_loop(system.loop(), 1000.0, kWarmup, tick);
-    std::uint64_t before = system.hmi().counters().updates_received;
-    drive_open_loop(system.loop(), 1000.0, kMeasure, tick);
-    result.updates = static_cast<double>(
-                         system.hmi().counters().updates_received - before) /
-                     (static_cast<double>(kMeasure) / kNanosPerSec);
-  }
-  {
-    core::ReplicatedDeployment system(make_options(protocol, f));
-    ItemId item = system.add_point("valve", scada::Variant{0.0});
-    system.start();
-    std::uint64_t completed = 0;
-    double value = 0;
-    std::function<void()> issue = [&] {
-      system.hmi().write(item, scada::Variant{value},
-                         [&](const scada::WriteResult&) {
-                           ++completed;
-                           value += 1.0;
-                           issue();
-                         });
-    };
-    issue();
-    system.run_until(system.loop().now() + kWarmup);
-    std::uint64_t before = completed;
-    system.run_until(system.loop().now() + kMeasure);
-    result.writes = static_cast<double>(completed - before) /
-                    (static_cast<double>(kMeasure) / kNanosPerSec);
-  }
-  return result;
+load::RunRecord sim_updates(Protocol protocol, std::uint32_t f,
+                            const std::string& name) {
+  core::ReplicatedDeployment system(make_options(protocol, f));
+  Workload workload{.items = {system.add_point("feeder")}};
+  system.start();
+  return run_open_loop(system, workload, name,
+                       load::ScheduleOptions{.rate_per_sec = 1000.0,
+                                             .duration = kWarmup + kMeasure},
+                       kWarmup, seconds(2));
 }
 
-// ---------------------------------------------------------------------------
-// Socket mode: synchronous HMI writes over real UDP against a `deploy
-// replica` group.
-
-/// Synchronous closed-loop writes for `duration`; returns writes/s.
-double measure_writes(SocketHarness& harness, SimTime warmup,
-                      SimTime duration) {
-  net::SocketTransport& transport = harness.transport();
-  std::uint64_t completed = 0;
-  bool stop = false;
-  double value = 0;
-  std::function<void()> issue = [&] {
-    if (stop) return;
-    harness.hmi().write(kSetpoint, scada::Variant{value},
-                        [&](const scada::WriteResult&) {
-                          ++completed;
-                          value += 1.0;
-                          issue();
-                        });
-  };
-  issue();
-  transport.run_until([] { return false; }, warmup);
-  std::uint64_t before = completed;
-  transport.run_until([] { return false; }, duration);
-  std::uint64_t after = completed;
-  stop = true;
-  // Let the in-flight write drain before tearing the callbacks down.
-  transport.run_until([] { return false; }, millis(200));
-  return static_cast<double>(after - before) /
-         (static_cast<double>(duration) / kNanosPerSec);
+load::RunRecord sim_writes(Protocol protocol, std::uint32_t f,
+                           const std::string& name) {
+  core::ReplicatedDeployment system(make_options(protocol, f));
+  ItemId item = system.add_point("valve", scada::Variant{0.0});
+  system.start();
+  return closed_loop_writes(system, item, name, kWarmup, kMeasure);
 }
 
-double run_socket(Protocol protocol, std::uint32_t f,
-                  std::uint16_t base_port) {
+/// Synchronous HMI writes over real UDP against a `deploy replica` group.
+load::RunRecord socket_writes(Protocol protocol, std::uint32_t f,
+                              std::uint16_t base_port,
+                              const std::string& name) {
   // The harness, `deploy config` and the spawned replicas all derive the
   // group from SS_PROTOCOL; export it so every process agrees on n and the
   // quorums.
   ::setenv("SS_PROTOCOL", protocol_name(protocol), 1);
-  try {
-    SocketHarness harness(f, base_port);
-    if (!harness.warm_up()) {
-      std::fprintf(stderr,
-                   "ablation_f: %s f=%u replica group never became live\n",
-                   protocol_name(protocol), f);
-      return 0.0;
-    }
-    return measure_writes(harness, kSocketWarmup, kSocketMeasure);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ablation_f: socket %s f=%u: %s\n",
-                 protocol_name(protocol), f, e.what());
-    return 0.0;
+  SocketHarness harness(f, base_port);
+  if (!harness.warm_up()) {
+    throw std::runtime_error("replica group never became live");
   }
+  return closed_loop_writes(harness, kSetpoint, name, kSocketWarmup,
+                            kSocketMeasure);
 }
 
 }  // namespace
@@ -156,30 +83,39 @@ int main(int argc, char** argv) {
   using namespace ss;
   using namespace ss::bench;
 
-  bool socket_mode = std::getenv("SS_ABLATION_SOCKET") != nullptr;
+  bool socket_mode = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--socket") == 0) socket_mode = true;
-    if (std::strcmp(argv[i], "--sim-only") == 0) socket_mode = false;
+    if (std::strcmp(argv[i], "--socket") != 0) {
+      std::fprintf(stderr, "usage: ablation_f [--socket]\n");
+      return 2;
+    }
+    socket_mode = true;
   }
 
   constexpr Protocol kProtocols[] = {Protocol::kPbft, Protocol::kMinBft};
   constexpr std::uint32_t kLevels[] = {1u, 2u};
+  auto cell = [](const char* backend, Protocol protocol, std::uint32_t f,
+                 const char* metric) {
+    return std::string(backend) + "_" + protocol_name(protocol) + "_f" +
+           std::to_string(f) + "_" + metric;
+  };
 
   print_header("Ablation: resilience level",
                "protocol x f sweep (PBFT n=3f+1, MinBFT n=2f+1)");
   std::printf("%-8s %-4s %-4s %18s %16s\n", "proto", "f", "n",
               "updates/s @1000/s", "sync writes/s");
-  JsonReport json("ablation_f");
+  load::LoadReport report("ablation_f");
   for (Protocol protocol : kProtocols) {
     for (std::uint32_t f : kLevels) {
-      Result result = run_sim(protocol, f);
-      GroupConfig group = GroupConfig::for_protocol(protocol, f);
+      load::RunRecord updates =
+          sim_updates(protocol, f, cell("sim", protocol, f, "updates"));
+      load::RunRecord writes =
+          sim_writes(protocol, f, cell("sim", protocol, f, "writes"));
       std::printf("%-8s %-4u %-4u %18.1f %16.1f\n", protocol_name(protocol),
-                  f, group.n, result.updates, result.writes);
-      std::string prefix = std::string("sim_") + protocol_name(protocol) +
-                           "_f" + std::to_string(f);
-      json.add(prefix + "_updates", result.updates);
-      json.add(prefix + "_writes", result.writes);
+                  f, GroupConfig::for_protocol(protocol, f).n,
+                  delivered(updates), writes.goodput_per_sec);
+      report.add(std::move(updates));
+      report.add(std::move(writes));
     }
   }
 
@@ -191,23 +127,26 @@ int main(int argc, char** argv) {
         43000 + (::getpid() % 4000) * 2);
     for (Protocol protocol : kProtocols) {
       for (std::uint32_t f : kLevels) {
-        double writes = run_socket(protocol, f, base_port);
+        try {
+          load::RunRecord writes = socket_writes(
+              protocol, f, base_port, cell("socket", protocol, f, "writes"));
+          std::printf("%-8s %-4u %-4u %16.1f\n", protocol_name(protocol), f,
+                      GroupConfig::for_protocol(protocol, f).n,
+                      writes.goodput_per_sec);
+          report.add(std::move(writes));
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "ablation_f: socket %s f=%u: %s\n",
+                       protocol_name(protocol), f, e.what());
+          return 1;
+        }
         base_port = static_cast<std::uint16_t>(base_port + 64);
-        GroupConfig group = GroupConfig::for_protocol(protocol, f);
-        std::printf("%-8s %-4u %-4u %16.1f\n", protocol_name(protocol), f,
-                    group.n, writes);
-        json.add(std::string("socket_") + protocol_name(protocol) + "_f" +
-                     std::to_string(f) + "_writes",
-                 writes);
       }
     }
   } else {
-    std::printf(
-        "\n(socket backend skipped: pass --socket or set "
-        "SS_ABLATION_SOCKET=1)\n");
+    std::printf("\n(socket backend skipped: pass --socket)\n");
   }
 
-  json.write();
+  report.write();
   std::printf(
       "\nreading: under PBFT each extra f adds 3 replicas and quadratic\n"
       "agreement traffic; MinBFT's trusted counter buys the same f with\n"

@@ -12,7 +12,6 @@
 // §13).
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -23,33 +22,20 @@ constexpr SimTime kWarmup = seconds(2);
 constexpr SimTime kMeasure = seconds(10);
 
 double run(double rate, std::uint32_t executor_lanes, int items) {
-  core::ReplicatedOptions options;
-  options.costs = sim::CostModel::paper_testbed();
-  options.storage_retention = 1024;
-  options.checkpoint_interval = 4096;
-  options.client_reply_timeout = seconds(60);
-  options.request_timeout = seconds(60);
+  core::ReplicatedOptions options = replicated_options();
   options.executor_lanes = executor_lanes;
   core::ReplicatedDeployment system(options);
 
-  std::vector<ItemId> points;
+  Workload workload;
   for (int i = 0; i < items; ++i) {
-    points.push_back(system.add_point("feeder/" + std::to_string(i)));
+    workload.items.push_back(system.add_point("feeder/" + std::to_string(i)));
   }
   system.start();
-
-  std::uint64_t count = 0;
-  auto tick = [&](SimTime) {
-    system.frontend().field_update(points[count % points.size()],
-                                   scada::Variant{double(count)});
-    ++count;
-  };
-  drive_open_loop(system.loop(), rate, kWarmup, tick);
-  std::uint64_t before = system.hmi().counters().updates_received;
-  drive_open_loop(system.loop(), rate, kMeasure, tick);
-  return static_cast<double>(system.hmi().counters().updates_received -
-                             before) /
-         (static_cast<double>(kMeasure) / kNanosPerSec);
+  return delivered(run_open_loop(
+      system, workload, "updates",
+      load::ScheduleOptions{.rate_per_sec = rate,
+                            .duration = kWarmup + kMeasure},
+      kWarmup, seconds(2)));
 }
 
 }  // namespace

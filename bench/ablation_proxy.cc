@@ -9,7 +9,6 @@
 // keeping the agreement and master costs — an optimistic bound on the deep
 // integration the authors chose not to do.
 #include <cstdio>
-#include <functional>
 
 #include "bench/bench_util.h"
 
@@ -20,56 +19,32 @@ constexpr SimTime kWarmup = seconds(1);
 constexpr SimTime kMeasure = seconds(10);
 
 core::ReplicatedOptions make_options(bool deep_integration) {
-  core::ReplicatedOptions options;
-  options.costs = sim::CostModel::paper_testbed();
+  core::ReplicatedOptions options = replicated_options();
   if (deep_integration) {
     options.costs.adapter_process = 0;
     options.costs.serialize_per_msg = 0;
     options.costs.voter_process = 0;
   }
-  options.storage_retention = 1024;
-  options.checkpoint_interval = 4096;
-  options.client_reply_timeout = seconds(60);
-  options.request_timeout = seconds(60);
   return options;
 }
 
 double update_throughput(bool deep) {
   core::ReplicatedDeployment system(make_options(deep));
-  ItemId item = system.add_point("feeder");
+  Workload workload{.items = {system.add_point("feeder")}};
   system.start();
-  std::uint64_t count = 0;
-  auto tick = [&](SimTime) {
-    system.frontend().field_update(item, scada::Variant{double(count++)});
-  };
-  drive_open_loop(system.loop(), 1500.0, kWarmup, tick);
-  std::uint64_t before = system.hmi().counters().updates_received;
-  drive_open_loop(system.loop(), 1500.0, kMeasure, tick);
-  return static_cast<double>(system.hmi().counters().updates_received -
-                             before) /
-         (static_cast<double>(kMeasure) / kNanosPerSec);
+  return delivered(run_open_loop(
+      system, workload, "updates",
+      load::ScheduleOptions{.rate_per_sec = 1500.0,
+                            .duration = kWarmup + kMeasure},
+      kWarmup, seconds(2)));
 }
 
 double write_throughput(bool deep) {
   core::ReplicatedDeployment system(make_options(deep));
   ItemId item = system.add_point("valve", scada::Variant{0.0});
   system.start();
-  std::uint64_t completed = 0;
-  double value = 0;
-  std::function<void()> issue = [&] {
-    system.hmi().write(item, scada::Variant{value},
-                       [&](const scada::WriteResult&) {
-                         ++completed;
-                         value += 1.0;
-                         issue();
-                       });
-  };
-  issue();
-  system.run_until(system.loop().now() + kWarmup);
-  std::uint64_t before = completed;
-  system.run_until(system.loop().now() + kMeasure);
-  return static_cast<double>(completed - before) /
-         (static_cast<double>(kMeasure) / kNanosPerSec);
+  return closed_loop_writes(system, item, "writes", kWarmup, kMeasure)
+      .goodput_per_sec;
 }
 
 }  // namespace

@@ -19,13 +19,12 @@
 namespace ss::bench {
 namespace {
 
-struct Result {
-  double ops_per_sec = 0;
-  std::vector<double> latencies_us;  ///< invoke -> reply, measure window
-};
+constexpr SimTime kWarmup = seconds(1);
+constexpr SimTime kMeasure = seconds(5);
 
-Result run(std::size_t payload_size, const sim::CostModel& costs,
-           std::uint32_t pipeline_depth) {
+load::RunRecord run(const std::string& name, std::size_t payload_size,
+                    const sim::CostModel& costs,
+                    std::uint32_t pipeline_depth) {
   sim::EventLoop loop;
   sim::Network net(loop, costs.hop_latency, costs.ns_per_byte);
   crypto::Keychain keys("bft-raw");
@@ -48,18 +47,20 @@ Result run(std::size_t payload_size, const sim::CostModel& costs,
                           bft::ClientOptions{.reply_timeout = seconds(2)});
 
   // The client's pipelined requests are ordered FIFO, so a queue of issue
-  // times pairs each reply with its own invocation.
+  // times pairs each reply with its own invocation. Replies that arrive in
+  // the measure window are counted, with their invoke -> reply latency.
   Bytes payload(payload_size, 0x5a);
-  std::uint64_t completed = 0;
   bool measuring = false;
+  load::DriverStats stats;
+  obs::Histogram latency;
   std::deque<SimTime> issued;
-  std::vector<double> latencies;
   std::function<void(Bytes)> on_reply = [&](Bytes) {
-    ++completed;
     if (!issued.empty()) {
       if (measuring) {
-        latencies.push_back(
-            static_cast<double>(loop.now() - issued.front()) / 1000.0);
+        ++stats.scheduled;
+        ++stats.issued;
+        ++stats.ok;
+        latency.record(loop.now() - issued.front());
       }
       issued.pop_front();
     }
@@ -71,15 +72,10 @@ Result run(std::size_t payload_size, const sim::CostModel& costs,
     client.invoke_ordered(payload, on_reply);
   }
 
-  constexpr SimTime kWarmup = seconds(1);
-  constexpr SimTime kMeasure = seconds(5);
   loop.run_until(kWarmup);
   measuring = true;
-  std::uint64_t before = completed;
   loop.run_until(kWarmup + kMeasure);
-  return Result{static_cast<double>(completed - before) /
-                    (static_cast<double>(kMeasure) / kNanosPerSec),
-                std::move(latencies)};
+  return window_record(name, "ordered", stats, latency, kMeasure);
 }
 
 }  // namespace
@@ -94,19 +90,20 @@ int main() {
                "null service, f=1, saturating client");
   std::printf("%-12s %-10s %14s %12s %12s\n", "payload", "pipeline",
               "requests/s", "p50 (us)", "p99 (us)");
-  JsonReport json("bft_raw");
+  load::LoadReport report("bft_raw");
   for (std::size_t size : {0u, 64u, 1024u}) {
     for (std::uint32_t depth : {64u, 256u}) {
-      Result result = run(size, costs, depth);
+      load::RunRecord record =
+          run("payload" + std::to_string(size) + "_depth" +
+                  std::to_string(depth),
+              size, costs, depth);
       std::printf("%8zu B   %8u %14.0f %12.0f %12.0f\n", size, depth,
-                  result.ops_per_sec, percentile(result.latencies_us, 50),
-                  percentile(result.latencies_us, 99));
-      json.add("payload" + std::to_string(size) + "_depth" +
-                   std::to_string(depth),
-               result.ops_per_sec, std::move(result.latencies_us));
+                  record.goodput_per_sec, record.latency.p50_us,
+                  record.latency.p99_us);
+      report.add(std::move(record));
     }
   }
-  json.write();
+  report.write();
   std::printf(
       "\npaper context: BFT-SMaRt alone reached ~16k req/s at 1 kB;\n"
       "the relation that must hold: raw BFT >> ~1k ops/s SCADA pipeline.\n");

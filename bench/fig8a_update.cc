@@ -17,91 +17,31 @@ constexpr double kRate = 1000.0;
 constexpr SimTime kWarmup = seconds(2);
 constexpr SimTime kMeasure = seconds(20);
 
-struct Result {
-  double ops_per_sec = 0;
-  std::vector<double> latencies_us;  ///< field_update -> HMI, measure window
-};
+/// One fixed-rate run; latency is taken from each update's scheduled send
+/// to its arrival at the HMI.
+template <typename System>
+load::RunRecord measure(System& system, ItemId item, const std::string& name) {
+  Workload workload{.items = {item}};
+  return run_open_loop(
+      system, workload, name,
+      load::ScheduleOptions{.rate_per_sec = kRate,
+                            .duration = kWarmup + kMeasure},
+      kWarmup, seconds(2));
+}
 
-/// Tracks per-update delivery latency: the tick records the *scheduled*
-/// emission time under the update's integer value, the HMI callback looks
-/// it up again. Using the scheduled time (not loop.now() at emission) keeps
-/// queueing delay ahead of the emit inside the sample — the open-loop
-/// coordinated-omission rule (see load/schedule.h).
-struct LatencyProbe {
-  template <typename System>
-  void attach(System& system) {
-    loop = &system.loop();
-    system.hmi().set_update_callback([this](const scada::ItemUpdate& update) {
-      auto index = static_cast<std::size_t>(update.value.as_double());
-      if (measuring && index < emitted_at.size()) {
-        samples.push_back(
-            static_cast<double>(loop->now() - emitted_at[index]) / 1000.0);
-      }
-    });
-  }
-  void emit(SimTime scheduled) { emitted_at.push_back(scheduled); }
-
-  sim::EventLoop* loop = nullptr;
-  std::vector<SimTime> emitted_at;
-  std::vector<double> samples;
-  bool measuring = false;
-};
-
-Result run_baseline(const sim::CostModel& costs) {
+load::RunRecord run_baseline(const sim::CostModel& costs) {
   core::BaselineDeployment system(
       core::BaselineOptions{.costs = costs, .storage_retention = 1024});
   ItemId item = system.add_point("grid/feeder");
   system.start();
-  LatencyProbe probe;
-  probe.attach(system);
-
-  double value = 0;
-  auto tick = [&](SimTime scheduled) {
-    probe.emit(scheduled);
-    system.frontend().field_update(item, scada::Variant{value});
-    value += 1.0;
-  };
-  drive_open_loop(system.loop(), kRate, kWarmup, tick);
-  probe.measuring = true;
-  std::uint64_t before = system.hmi().counters().updates_received;
-  drive_open_loop(system.loop(), kRate, kMeasure, tick);
-  std::uint64_t after = system.hmi().counters().updates_received;
-  return Result{static_cast<double>(after - before) /
-                    (static_cast<double>(kMeasure) / kNanosPerSec),
-                std::move(probe.samples)};
+  return measure(system, item, "neoscada");
 }
 
-Result run_replicated(const sim::CostModel& costs) {
-  core::ReplicatedOptions options;
-  options.costs = costs;
-  options.storage_retention = 1024;
-  options.checkpoint_interval = 4096;
-  // Under open-loop overload the queue (not a retransmit storm) must absorb
-  // the excess: give the proxies a reply timeout beyond the run length.
-  options.client_reply_timeout = seconds(60);
-  // Same rationale for the leader-suspect timer: sustained overload must
-  // not be misread as a faulty leader (perpetual view changes).
-  options.request_timeout = seconds(60);
-  core::ReplicatedDeployment system(options);
+load::RunRecord run_replicated(const sim::CostModel& costs) {
+  core::ReplicatedDeployment system(replicated_options(costs));
   ItemId item = system.add_point("grid/feeder");
   system.start();
-  LatencyProbe probe;
-  probe.attach(system);
-
-  double value = 0;
-  auto tick = [&](SimTime scheduled) {
-    probe.emit(scheduled);
-    system.frontend().field_update(item, scada::Variant{value});
-    value += 1.0;
-  };
-  drive_open_loop(system.loop(), kRate, kWarmup, tick);
-  probe.measuring = true;
-  std::uint64_t before = system.hmi().counters().updates_received;
-  drive_open_loop(system.loop(), kRate, kMeasure, tick);
-  std::uint64_t after = system.hmi().counters().updates_received;
-  return Result{static_cast<double>(after - before) /
-                    (static_cast<double>(kMeasure) / kNanosPerSec),
-                std::move(probe.samples)};
+  return measure(system, item, "smart_scada");
 }
 
 }  // namespace
@@ -115,39 +55,36 @@ int main() {
   print_header("Figure 8(a)", "Update value use case, 1000 ItemUpdate/s");
 
   reset_observability();
-  Result neo = run_baseline(costs);
-  std::vector<StageSummary> neo_stages = stage_breakdown();
+  load::RunRecord neo = run_baseline(costs);
+  add_stage_breakdown(neo);
   reset_observability();
-  Result smart = run_replicated(costs);
-  std::vector<StageSummary> smart_stages = stage_breakdown();
-  print_row("NeoSCADA", neo.ops_per_sec, "ops/s   (paper: ~1000)");
-  print_row("SMaRt-SCADA", smart.ops_per_sec, "ops/s   (paper: ~940)");
+  load::RunRecord smart = run_replicated(costs);
+  add_stage_breakdown(smart);
+  print_row("NeoSCADA", delivered(neo), "ops/s   (paper: ~1000)");
+  print_row("SMaRt-SCADA", delivered(smart), "ops/s   (paper: ~940)");
   std::printf("%-34s %10.1f %%       (paper: ~6%%)\n", "overhead",
-              overhead_pct(neo.ops_per_sec, smart.ops_per_sec));
+              overhead_pct(delivered(neo), delivered(smart)));
   std::printf("%-34s p50 %.0f us  p99 %.0f us\n", "NeoSCADA latency",
-              percentile(neo.latencies_us, 50), percentile(neo.latencies_us, 99));
+              neo.latency.p50_us, neo.latency.p99_us);
   std::printf("%-34s p50 %.0f us  p99 %.0f us\n", "SMaRt-SCADA latency",
-              percentile(smart.latencies_us, 50),
-              percentile(smart.latencies_us, 99));
+              smart.latency.p50_us, smart.latency.p99_us);
   print_note("SMaRt-SCADA per-stage breakdown (trace spans):");
-  print_stage_breakdown(smart_stages);
+  print_stage_breakdown();
   reset_observability();
 
   // Sensitivity: the shape must survive +/-50% CPU-cost perturbation.
   print_note("sensitivity (CPU costs scaled):");
   for (double scale : {0.5, 1.5}) {
     sim::CostModel scaled = costs.scaled_cpu(scale);
-    double neo_s = run_baseline(scaled).ops_per_sec;
-    double smart_s = run_replicated(scaled).ops_per_sec;
+    double neo_s = delivered(run_baseline(scaled));
+    double smart_s = delivered(run_replicated(scaled));
     std::printf("  x%.1f: NeoSCADA %7.1f  SMaRt-SCADA %7.1f  overhead %5.1f%%\n",
                 scale, neo_s, smart_s, overhead_pct(neo_s, smart_s));
   }
 
-  JsonReport json("fig8a_update");
-  json.add("neoscada", neo.ops_per_sec, std::move(neo.latencies_us),
-           std::move(neo_stages));
-  json.add("smart_scada", smart.ops_per_sec, std::move(smart.latencies_us),
-           std::move(smart_stages));
-  json.write();
+  load::LoadReport report("fig8a_update");
+  report.add(std::move(neo));
+  report.add(std::move(smart));
+  report.write();
   return 0;
 }

@@ -6,23 +6,20 @@
 // in the other all of them do (100%-alarms). Every alarm is persisted to
 // storage and pushed as an EventUpdate to the HMI. Paper result: NeoSCADA
 // keeps processing all messages in both scenarios; SMaRt-SCADA loses ~10%
-// (50%) and ~25% (100%).
+// (50%) and ~25% (100%). The paper's rows, like Figure 8(a)'s, report the
+// updates delivered to the HMI per second.
 //
-// Unlike the original closed-loop port, arrivals come from
-// load::generate_schedule (kBurst) and every latency sample is measured
-// from the operation's *scheduled* send time, so queueing under the alarm
-// storm shows up as tail latency instead of disappearing into the
-// generator's politeness (coordinated omission — see load/schedule.h). On
-// top of the paper's sustained-rate rows, a storm sweep multiplies the
-// arrival rate 10x/100x during periodic burst windows, the event-rate
-// regime the paper's alarm-avalanche discussion worries about.
-#include <cmath>
+// Arrivals come from load::generate_schedule (kBurst) and every latency
+// sample is measured from the operation's *scheduled* send time, so
+// queueing under the alarm storm shows up as tail latency instead of
+// disappearing into the generator's politeness (coordinated omission — see
+// load/schedule.h). On top of the paper's sustained-rate rows, a storm
+// sweep multiplies the arrival rate 10x/100x during periodic burst windows,
+// the event-rate regime the paper's alarm-avalanche discussion worries
+// about; those rows report goodput, p99 and the timeout rate.
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "load/driver.h"
-#include "load/report.h"
-#include "load/schedule.h"
 #include "scada/handlers.h"
 
 namespace ss::bench {
@@ -30,100 +27,23 @@ namespace {
 
 constexpr double kRate = 1000.0;
 constexpr SimTime kMeasure = seconds(10);
-// The Monitor triggers above 100; the value encoding keeps alarm updates
-// far above it and normal updates far below (negative).
+// The Monitor triggers above 100; the Workload's value encoding keeps alarm
+// updates far above it and normal updates far below (negative).
 constexpr double kThreshold = 100.0;
-constexpr double kValueBase = 1e9;
 
-/// Open-loop update workload where `alarm_pct` of the updates trip the
-/// Monitor. Each update's value encodes its schedule index so the HMI's
-/// voted push stream can complete the matching operation: alarm updates
-/// carry +(base + index) (far above the threshold), normal updates carry
-/// -(base + index) (far below); |value| - base recovers the index.
-struct AlarmWorkload {
-  int alarm_pct = 100;
-  scada::Frontend* frontend = nullptr;
-  ItemId item;
-  std::vector<load::OpenLoopDriver::CompletionFn> done;
-
-  void issue(const load::Arrival& a, load::OpenLoopDriver::CompletionFn fn) {
-    done[a.index] = std::move(fn);
-    bool alarm = (a.index + 1) * static_cast<std::uint64_t>(alarm_pct) / 100 !=
-                 a.index * static_cast<std::uint64_t>(alarm_pct) / 100;
-    double magnitude = kValueBase + static_cast<double>(a.index);
-    frontend->field_update(item, scada::Variant{alarm ? magnitude : -magnitude});
-  }
-
-  void on_update(const scada::ItemUpdate& update) {
-    if (update.item != item) return;
-    double rel = std::fabs(update.value.as_double()) - kValueBase;
-    if (rel < 0 || rel >= static_cast<double>(done.size())) return;
-    auto index = static_cast<std::size_t>(rel);
-    if (done[index]) done[index](true);
-  }
-};
-
-load::ScheduleOptions storm_schedule(double burst_mult) {
-  load::ScheduleOptions schedule;
-  schedule.shape = load::ArrivalShape::kBurst;
-  schedule.rate_per_sec = kRate;
-  schedule.duration = kMeasure;
-  schedule.clients = 64;
-  schedule.burst_multiplier = burst_mult;
-  return schedule;
-}
-
-/// Runs one open-loop alarm-storm scenario over either deployment flavour
-/// (both expose loop()/net()/hmi()/frontend()). Events-per-second (the AE
-/// storage pressure the figure is about) rides along as a record extra.
-template <typename Deployment>
-load::RunRecord run_storm(Deployment& system, ItemId item,
-                          const std::string& name, int alarm_pct,
-                          double burst_mult) {
-  AlarmWorkload workload;
-  workload.alarm_pct = alarm_pct;
-  workload.frontend = &system.frontend();
-  workload.item = item;
-
-  load::ScheduleOptions schedule_opt = storm_schedule(burst_mult);
-  std::vector<load::Arrival> schedule = load::generate_schedule(schedule_opt);
-  workload.done.resize(schedule.size());
-  system.hmi().set_update_callback(
-      [&workload](const scada::ItemUpdate& u) { workload.on_update(u); });
-
-  std::uint64_t evt0 = system.hmi().counters().events_received;
-  std::uint64_t upd0 = system.hmi().counters().updates_received;
-
-  load::DriverOptions driver_opt;
-  driver_opt.op_timeout = seconds(2);
-  load::OpenLoopDriver driver(
-      system.net(), std::move(schedule),
-      [&workload](const load::Arrival& a,
-                  load::OpenLoopDriver::CompletionFn fn) {
-        workload.issue(a, std::move(fn));
-      },
-      driver_opt);
-  driver.start();
-  SimTime hard_stop = system.loop().now() + schedule_opt.duration +
-                      driver_opt.op_timeout + seconds(5);
-  while (!driver.finished() && system.loop().now() < hard_stop) {
-    system.loop().run_until(
-        std::min<SimTime>(system.loop().now() + millis(100), hard_stop));
-  }
-
-  load::RunRecord record =
-      load::RunRecord::from_driver(name, "update", schedule_opt, driver);
-  double secs = record.run_seconds > 0 ? record.run_seconds : 1.0;
-  record.extras.emplace_back(
-      "updates_per_sec",
-      static_cast<double>(system.hmi().counters().updates_received - upd0) /
-          secs);
-  record.extras.emplace_back(
-      "events_per_sec",
-      static_cast<double>(system.hmi().counters().events_received - evt0) /
-          secs);
-  system.hmi().set_update_callback({});
-  return record;
+/// Runs one open-loop alarm-storm scenario over either deployment flavour.
+template <typename System>
+load::RunRecord storm(System& system, ItemId item, const std::string& name,
+                      int alarm_pct, double burst_mult) {
+  Workload workload{.items = {item}, .alarm_pct = alarm_pct};
+  return run_open_loop(
+      system, workload, name,
+      load::ScheduleOptions{.shape = load::ArrivalShape::kBurst,
+                            .rate_per_sec = kRate,
+                            .duration = kMeasure,
+                            .clients = 64,
+                            .burst_multiplier = burst_mult},
+      0, seconds(2));
 }
 
 load::RunRecord run_baseline(const sim::CostModel& costs,
@@ -135,37 +55,24 @@ load::RunRecord run_baseline(const sim::CostModel& costs,
   system.master().handlers(item).emplace<scada::MonitorHandler>(
       scada::MonitorHandler::Condition::kAbove, kThreshold);
   system.start();
-  return run_storm(system, item, name, alarm_pct, burst_mult);
+  return storm(system, item, name, alarm_pct, burst_mult);
 }
 
 load::RunRecord run_replicated(const sim::CostModel& costs,
                                const std::string& name, int alarm_pct,
                                double burst_mult) {
-  core::ReplicatedOptions options;
-  options.costs = costs;
-  options.storage_retention = 1024;
-  options.checkpoint_interval = 4096;
-  // Under open-loop overload the queue (not a retransmit storm) must absorb
-  // the excess: give the proxies a reply timeout beyond the run length.
-  options.client_reply_timeout = seconds(60);
-  // Same rationale for the leader-suspect timer: sustained overload must
-  // not be misread as a faulty leader (perpetual view changes).
-  options.request_timeout = seconds(60);
-  core::ReplicatedDeployment system(options);
+  core::ReplicatedDeployment system(replicated_options(costs));
   ItemId item = system.add_point("grid/feeder");
   system.configure_masters([item](scada::ScadaMaster& master) {
     master.handlers(item).emplace<scada::MonitorHandler>(
         scada::MonitorHandler::Condition::kAbove, kThreshold);
   });
   system.start();
-  return run_storm(system, item, name, alarm_pct, burst_mult);
+  return storm(system, item, name, alarm_pct, burst_mult);
 }
 
-double extra(const load::RunRecord& record, const char* key) {
-  for (const auto& [name, value] : record.extras) {
-    if (name == key) return value;
-  }
-  return 0.0;
+double events(const load::RunRecord& record) {
+  return extra(record, "events_per_sec");
 }
 
 }  // namespace
@@ -189,31 +96,30 @@ int main() {
   load::RunRecord smart50 = run_replicated(costs, "smart@50pct", 50, 1.0);
   load::RunRecord smart100 = run_replicated(costs, "smart@100pct", 100, 1.0);
 
-  print_row("NeoSCADA (50% alarms)", neo50.goodput_per_sec,
+  print_row("NeoSCADA (50% alarms)", delivered(neo50),
             "ops/s   (paper: ~1000)");
-  print_row("NeoSCADA (100% alarms)", neo100.goodput_per_sec,
+  print_row("NeoSCADA (100% alarms)", delivered(neo100),
             "ops/s   (paper: ~1000)");
-  print_row("SMaRt-SCADA (50% alarms)", smart50.goodput_per_sec,
+  print_row("SMaRt-SCADA (50% alarms)", delivered(smart50),
             "ops/s   (paper: ~900, -10%)");
-  print_row("SMaRt-SCADA (100% alarms)", smart100.goodput_per_sec,
+  print_row("SMaRt-SCADA (100% alarms)", delivered(smart100),
             "ops/s   (paper: ~750, -25%)");
   std::printf("%-34s %10.1f %%       (paper: ~10%%)\n",
               "overhead (50% alarms)",
-              overhead_pct(neo50.goodput_per_sec, smart50.goodput_per_sec));
+              overhead_pct(delivered(neo50), delivered(smart50)));
   std::printf("%-34s %10.1f %%       (paper: ~25%%)\n",
               "overhead (100% alarms)",
-              overhead_pct(neo100.goodput_per_sec, smart100.goodput_per_sec));
+              overhead_pct(delivered(neo100), delivered(smart100)));
   print_note("alarm events delivered to the HMI (per second):");
   std::printf("  NeoSCADA 50%%: %.1f  100%%: %.1f   SMaRt-SCADA 50%%: %.1f  "
               "100%%: %.1f\n",
-              extra(neo50, "events_per_sec"), extra(neo100, "events_per_sec"),
-              extra(smart50, "events_per_sec"),
-              extra(smart100, "events_per_sec"));
+              events(neo50), events(neo100), events(smart50),
+              events(smart100));
 
-  report.add(neo50);
-  report.add(neo100);
-  report.add(smart50);
-  report.add(smart100);
+  report.add(std::move(neo50));
+  report.add(std::move(neo100));
+  report.add(std::move(smart50));
+  report.add(std::move(smart100));
 
   // The alarm-storm sweep: 100%-alarm traffic whose rate multiplies 10x /
   // 100x during periodic burst windows. Open-loop latency from scheduled
@@ -223,11 +129,11 @@ int main() {
     char name[48];
     std::snprintf(name, sizeof(name), "smart@storm%dx",
                   static_cast<int>(mult));
-    load::RunRecord storm = run_replicated(costs, name, 100, mult);
+    load::RunRecord record = run_replicated(costs, name, 100, mult);
     std::printf("  %-20s goodput %8.1f ops/s  p99 %9.1f us  timeout %5.2f%%\n",
-                name, storm.goodput_per_sec, storm.latency.p99_us,
-                100.0 * storm.timeout_rate());
-    report.add(std::move(storm));
+                name, record.goodput_per_sec, record.latency.p99_us,
+                100.0 * record.timeout_rate());
+    report.add(std::move(record));
   }
 
   report.write();

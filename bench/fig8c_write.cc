@@ -2,11 +2,11 @@
 //
 // Workload (paper §V-B): the HMI performs synchronous writes to a
 // Frontend item — one outstanding operation at a time, each waiting for its
-// WriteResult. Paper result: ~450 writes/s (NeoSCADA) vs ~100 writes/s
-// (SMaRt-SCADA), a 78% drop explained by the 10 additional communication
-// steps (6 vs 16) and the single-threaded Master. With --drops the bench
-// also exercises the logical-timeout protocol (paper §IV-D) under a
-// Frontend whose replies are silently dropped.
+// WriteResult (closed_loop_writes). Paper result: ~450 writes/s (NeoSCADA)
+// vs ~100 writes/s (SMaRt-SCADA), a 78% drop explained by the 10 additional
+// communication steps (6 vs 16) and the single-threaded Master. With
+// --drops the bench also exercises the logical-timeout protocol (paper
+// §IV-D) under a Frontend whose replies are silently dropped.
 #include <cstdio>
 #include <cstring>
 
@@ -18,69 +18,19 @@ namespace {
 constexpr SimTime kWarmup = seconds(1);
 constexpr SimTime kMeasure = seconds(20);
 
-struct Result {
-  double ops_per_sec = 0;
-  std::vector<double> latencies_us;  ///< write -> WriteResult, measure window
-};
-
-/// Issues writes back-to-back: the next write starts when the previous
-/// result arrives. Returns completed writes per second plus the per-write
-/// round-trip latencies seen during the measure window.
-///
-/// Closed-loop caveat: this deliberately reproduces the paper's synchronous
-/// workload, where there is no arrival schedule — each write's start time
-/// *depends on* the previous result, so the latencies below are service
-/// round-trips, not user-perceived waiting times, and throughput saturates
-/// at 1/latency regardless of capacity. They must not be compared against
-/// open-loop percentiles. For the coordinated-omission-safe version of this
-/// workload (latency measured from a scheduled send time), run
-/// `load_openloop --op write` (src/load).
-template <typename System>
-Result run_closed_loop(System& system, ItemId item) {
-  std::uint64_t completed = 0;
-  double value = 0;
-  bool measuring = false;
-  std::vector<double> latencies;
-  std::function<void()> issue = [&] {
-    SimTime issued = system.loop().now();
-    system.hmi().write(item, scada::Variant{value},
-                       [&, issued](const scada::WriteResult&) {
-                         ++completed;
-                         value += 1.0;
-                         if (measuring) {
-                           latencies.push_back(static_cast<double>(
-                               system.loop().now() - issued) / 1000.0);
-                         }
-                         issue();
-                       });
-  };
-  issue();
-  system.run_until(system.loop().now() + kWarmup);
-  measuring = true;
-  std::uint64_t before = completed;
-  system.run_until(system.loop().now() + kMeasure);
-  return Result{static_cast<double>(completed - before) /
-                    (static_cast<double>(kMeasure) / kNanosPerSec),
-                std::move(latencies)};
-}
-
-Result run_baseline(const sim::CostModel& costs) {
+load::RunRecord run_baseline(const sim::CostModel& costs) {
   core::BaselineDeployment system(
       core::BaselineOptions{.costs = costs, .storage_retention = 1024});
   ItemId item = system.add_point("breaker/1", scada::Variant{0.0});
   system.start();
-  return run_closed_loop(system, item);
+  return closed_loop_writes(system, item, "neoscada", kWarmup, kMeasure);
 }
 
-Result run_replicated(const sim::CostModel& costs) {
-  core::ReplicatedOptions options;
-  options.costs = costs;
-  options.storage_retention = 1024;
-  options.checkpoint_interval = 4096;
-  core::ReplicatedDeployment system(options);
+load::RunRecord run_replicated(const sim::CostModel& costs) {
+  core::ReplicatedDeployment system(replicated_options(costs));
   ItemId item = system.add_point("breaker/1", scada::Variant{0.0});
   system.start();
-  return run_closed_loop(system, item);
+  return closed_loop_writes(system, item, "smart_scada", kWarmup, kMeasure);
 }
 
 /// Liveness under dropped WriteResults: every write times out, yet the HMI
@@ -96,27 +46,19 @@ void run_drops(const sim::CostModel& costs) {
                           core::kProxyFrontendEndpoint,
                           sim::LinkPolicy::cut_link());
 
-  std::uint64_t completed = 0;
-  std::uint64_t timeouts = 0;
-  std::function<void()> issue = [&] {
-    system.hmi().write(item, scada::Variant{1.0},
-                       [&](const scada::WriteResult& result) {
-                         ++completed;
-                         if (result.status == scada::WriteStatus::kTimeout) {
-                           ++timeouts;
-                         }
-                         issue();
-                       });
-  };
-  issue();
-  system.run_until(system.loop().now() + seconds(20));
-
+  load::RunRecord record =
+      closed_loop_writes(system, item, "drops", 0, seconds(20));
+  const scada::HmiCounters& hmi = system.hmi().counters();
   print_header("Figure 8(c) --drops",
                "logical-timeout liveness (WriteResult dropped)");
-  std::printf("  writes completed: %lu, all via logical timeout: %s\n",
-              static_cast<unsigned long>(completed),
-              completed == timeouts && completed > 0 ? "yes" : "NO");
-  std::printf("  pending writes left in master 0: %zu (must be 0 or 1)\n",
+  std::printf("  writes completed: %llu, all via logical timeout: %s\n",
+              static_cast<unsigned long long>(record.stats.ok +
+                                              record.stats.failed),
+              record.stats.failed > 0 &&
+                      hmi.writes_timeout == hmi.writes_issued
+                  ? "yes"
+                  : "NO");
+  std::printf("  pending writes left in master 0: %zu (must be 0)\n",
               system.master(0).pending_write_count());
 }
 
@@ -136,22 +78,21 @@ int main(int argc, char** argv) {
 
   print_header("Figure 8(c)", "Write value use case, synchronous writes");
   reset_observability();
-  Result neo = run_baseline(costs);
-  std::vector<StageSummary> neo_stages = stage_breakdown();
+  load::RunRecord neo = run_baseline(costs);
+  add_stage_breakdown(neo);
   reset_observability();
-  Result smart = run_replicated(costs);
-  std::vector<StageSummary> smart_stages = stage_breakdown();
-  print_row("NeoSCADA", neo.ops_per_sec, "writes/s  (paper: ~450)");
-  print_row("SMaRt-SCADA", smart.ops_per_sec, "writes/s  (paper: ~100)");
+  load::RunRecord smart = run_replicated(costs);
+  add_stage_breakdown(smart);
+  print_row("NeoSCADA", neo.goodput_per_sec, "writes/s  (paper: ~450)");
+  print_row("SMaRt-SCADA", smart.goodput_per_sec, "writes/s  (paper: ~100)");
   std::printf("%-34s %10.1f %%       (paper: ~78%%)\n", "overhead",
-              overhead_pct(neo.ops_per_sec, smart.ops_per_sec));
+              overhead_pct(neo.goodput_per_sec, smart.goodput_per_sec));
   std::printf("%-34s p50 %.0f us  p99 %.0f us\n", "NeoSCADA write latency",
-              percentile(neo.latencies_us, 50), percentile(neo.latencies_us, 99));
+              neo.latency.p50_us, neo.latency.p99_us);
   std::printf("%-34s p50 %.0f us  p99 %.0f us\n", "SMaRt-SCADA write latency",
-              percentile(smart.latencies_us, 50),
-              percentile(smart.latencies_us, 99));
+              smart.latency.p50_us, smart.latency.p99_us);
   print_note("SMaRt-SCADA per-stage breakdown (trace spans):");
-  print_stage_breakdown(smart_stages);
+  print_stage_breakdown();
   print_note(
       "note: closed-loop (synchronous) workload — latencies are service "
       "round-trips,");
@@ -163,18 +104,16 @@ int main(int argc, char** argv) {
   print_note("sensitivity (CPU costs scaled):");
   for (double scale : {0.5, 1.5}) {
     sim::CostModel scaled = costs.scaled_cpu(scale);
-    double neo_s = run_baseline(scaled).ops_per_sec;
-    double smart_s = run_replicated(scaled).ops_per_sec;
+    double neo_s = run_baseline(scaled).goodput_per_sec;
+    double smart_s = run_replicated(scaled).goodput_per_sec;
     std::printf("  x%.1f: NeoSCADA %7.1f  SMaRt-SCADA %7.1f  overhead %5.1f%%\n",
                 scale, neo_s, smart_s, overhead_pct(neo_s, smart_s));
   }
 
-  JsonReport json("fig8c_write");
-  json.add("neoscada", neo.ops_per_sec, std::move(neo.latencies_us),
-           std::move(neo_stages));
-  json.add("smart_scada", smart.ops_per_sec, std::move(smart.latencies_us),
-           std::move(smart_stages));
-  json.write();
+  load::LoadReport report("fig8c_write");
+  report.add(std::move(neo));
+  report.add(std::move(smart));
+  report.write();
 
   run_drops(costs);
   return 0;

@@ -202,7 +202,7 @@ class SocketHarness {
     return false;
   }
 
-  net::SocketTransport& transport() { return transport_; }
+  net::SocketTransport& net() { return transport_; }
   scada::Hmi& hmi() { return hmi_; }
   scada::Frontend& frontend() { return frontend_; }
 

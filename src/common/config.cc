@@ -1,6 +1,7 @@
 #include "common/config.h"
 
 #include <cstdlib>
+#include <limits>
 
 namespace ss {
 
@@ -32,6 +33,12 @@ GroupConfig::GroupConfig(std::uint32_t n_in, std::uint32_t f_in)
 GroupConfig::GroupConfig(std::uint32_t n_in, std::uint32_t f_in,
                          Protocol protocol_in)
     : n(n_in), f(f_in), protocol(protocol_in) {
+  // A size that does not fit n's type would wrap into a small group with
+  // nonsense quorums. Rejecting it also keeps f + 1 (< 2f + 1) in range.
+  if (min_n(protocol, f) > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("GroupConfig: f = " + std::to_string(f) +
+                                " needs more than 2^32 - 1 replicas");
+  }
   if (n < min_n(protocol, f)) {
     throw std::invalid_argument(
         protocol == Protocol::kMinBft
@@ -42,11 +49,13 @@ GroupConfig::GroupConfig(std::uint32_t n_in, std::uint32_t f_in,
 }
 
 GroupConfig GroupConfig::for_f(std::uint32_t f) {
-  return GroupConfig(3 * f + 1, f);
+  return for_protocol(Protocol::kPbft, f);
 }
 
 GroupConfig GroupConfig::for_protocol(Protocol protocol, std::uint32_t f) {
-  return GroupConfig(min_n(protocol, f), f, protocol);
+  // The cast wraps only for an f the constructor rejects.
+  return GroupConfig(static_cast<std::uint32_t>(min_n(protocol, f)), f,
+                     protocol);
 }
 
 std::vector<ReplicaId> GroupConfig::replica_ids() const {

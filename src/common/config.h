@@ -56,16 +56,21 @@ struct GroupConfig {
   /// (n = 3f + 1 for kPbft, n = 2f + 1 for kMinBft).
   static GroupConfig for_protocol(Protocol protocol, std::uint32_t f);
 
-  /// Minimum group size the protocol's fault model requires.
-  static std::uint32_t min_n(Protocol protocol, std::uint32_t f) {
-    return protocol == Protocol::kMinBft ? 2 * f + 1 : 3 * f + 1;
+  /// Minimum group size the protocol's fault model requires, in 64 bits:
+  /// above f = 2^31 - 1 (MinBFT) or (2^32 - 2) / 3 (PBFT) it has no
+  /// uint32_t value, and the constructor rejects such an f.
+  static std::uint64_t min_n(Protocol protocol, std::uint32_t f) {
+    return protocol == Protocol::kMinBft ? 2 * std::uint64_t{f} + 1
+                                         : 3 * std::uint64_t{f} + 1;
   }
 
   /// Agreement commit quorum: the Byzantine dissemination quorum
   /// ceil((n + f + 1) / 2) under PBFT, f + 1 counter-certified votes under
   /// MinBFT.
   std::uint32_t quorum() const {
-    return protocol == Protocol::kMinBft ? f + 1 : (n + f + 2) / 2;
+    return protocol == Protocol::kMinBft
+               ? f + 1
+               : static_cast<std::uint32_t>((std::uint64_t{n} + f + 2) / 2);
   }
 
   /// Votes needed by a client to accept a reply: f + 1 matching messages.

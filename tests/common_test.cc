@@ -212,6 +212,26 @@ TEST(GroupConfig, RejectsInsufficientReplicas) {
   EXPECT_NO_THROW(GroupConfig(5, 1));
 }
 
+TEST(GroupConfig, RejectsAnFWhoseGroupSizeOverflows) {
+  // 3f + 1 and 2f + 1 used to wrap in 32 bits: for_f(2^32 - 1) gave
+  // n = 2^32 - 2 with a reply quorum of 0.
+  EXPECT_THROW(GroupConfig::for_f(0xFFFFFFFF), std::invalid_argument);
+  EXPECT_THROW(GroupConfig::for_f(0x55555555), std::invalid_argument);
+  EXPECT_THROW(GroupConfig::for_protocol(Protocol::kMinBft, 0x80000000),
+               std::invalid_argument);
+  EXPECT_THROW(GroupConfig(0xFFFFFFFE, 0xFFFFFFFF), std::invalid_argument);
+
+  // The largest f whose group size fits still builds, with sane quorums.
+  GroupConfig pbft = GroupConfig::for_f(0x55555554);
+  EXPECT_EQ(pbft.n, 0xFFFFFFFDu);
+  EXPECT_EQ(pbft.reply_quorum(), 0x55555555u);
+  EXPECT_GE(2 * std::uint64_t{pbft.quorum()}, std::uint64_t{pbft.n} + pbft.f + 1);
+  EXPECT_LE(pbft.quorum(), pbft.n - pbft.f);
+  GroupConfig minbft = GroupConfig::for_protocol(Protocol::kMinBft, 0x7FFFFFFF);
+  EXPECT_EQ(minbft.n, 0xFFFFFFFFu);
+  EXPECT_EQ(minbft.quorum(), 0x80000000u);
+}
+
 TEST(GroupConfig, LeaderRotation) {
   GroupConfig g = GroupConfig::for_f(1);
   EXPECT_EQ(g.leader_for(0), ReplicaId{0});

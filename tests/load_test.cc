@@ -5,17 +5,20 @@
 // coordinated-omission-safe (a stalled server inflates the latency tail, it
 // never shrinks the sample count), and per-op outcome accounting
 // (ok/failed/timeout/duplicate/late) is exact. Plus one end-to-end run
-// against the full replicated deployment on the simulated backend at f=1.
+// against the full replicated deployment on the simulated backend at f=1,
+// and the benches' shared pipeline (bench/bench_util.h) on the simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "core/replicated_deployment.h"
 #include "load/driver.h"
 #include "load/report.h"
 #include "load/schedule.h"
+#include "scada/handlers.h"
 #include "scada/hmi.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
@@ -331,6 +334,96 @@ TEST(LoadEndToEnd, OpenLoopWritesAgainstReplicatedDeploymentF1) {
   EXPECT_EQ(driver.stats().failed, 0u);
   EXPECT_GT(driver.goodput_per_sec(), 100.0);
   EXPECT_GT(driver.latency().percentile(50), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The benches' shared pipeline: run_open_loop and closed_loop_writes
+
+TEST(BenchPipeline, OpenLoopAlarmUpdatesAllResolveAtTheOfferedRate) {
+  core::ReplicatedDeployment system(bench::replicated_options());
+  std::vector<ItemId> items = {system.add_point("feeder/0"),
+                               system.add_point("feeder/1")};
+  system.configure_masters([&items](scada::ScadaMaster& master) {
+    for (ItemId item : items) {
+      master.handlers(item).emplace<scada::MonitorHandler>(
+          scada::MonitorHandler::Condition::kAbove, 100.0);
+    }
+  });
+  system.start();
+
+  bench::Workload workload{.items = items, .alarm_pct = 50};
+  load::RunRecord record = bench::run_open_loop(
+      system, workload, "alarms",
+      ScheduleOptions{.rate_per_sec = 200, .duration = seconds(3)},
+      seconds(1), seconds(2));
+  EXPECT_GT(record.stats.scheduled, 500u);
+  EXPECT_EQ(record.stats.ok, record.stats.scheduled);
+  EXPECT_EQ(record.stats.timeouts, 0u);
+  EXPECT_EQ(record.latency.samples, record.stats.ok);
+  EXPECT_NEAR(bench::delivered(record), 200.0, 2.0);
+  EXPECT_NEAR(bench::extra(record, "events_per_sec"), 100.0, 5.0);
+}
+
+TEST(BenchPipeline, MixedOpenLoopRunResolvesWritesAndUpdates) {
+  core::ReplicatedDeployment system(bench::replicated_options());
+  ItemId feeder = system.add_point("feeder");
+  ItemId setpoint = system.add_point("setpoint", scada::Variant{20.0});
+  system.start();
+
+  bench::Workload workload{
+      .op = "mixed", .items = {feeder}, .write_item = setpoint};
+  load::RunRecord record = bench::run_open_loop(
+      system, workload, "mixed",
+      ScheduleOptions{.rate_per_sec = 100, .duration = seconds(2)}, 0,
+      seconds(2));
+  ASSERT_GT(record.stats.scheduled, 100u);
+  EXPECT_EQ(record.stats.ok, record.stats.scheduled);
+  // Odd arrivals are writes, even ones updates: both kinds resolved.
+  EXPECT_EQ(system.hmi().counters().writes_ok, record.stats.scheduled / 2);
+  EXPECT_GT(bench::delivered(record), 0.0);
+}
+
+TEST(BenchPipeline, ClosedLoopWritesBalanceAndStopWhenTheCallReturns) {
+  core::ReplicatedDeployment system(bench::replicated_options());
+  ItemId valve = system.add_point("valve", scada::Variant{0.0});
+  system.start();
+
+  load::RunRecord record =
+      bench::closed_loop_writes(system, valve, "writes", seconds(1),
+                                seconds(2));
+  EXPECT_GT(record.stats.ok, 100u);
+  EXPECT_EQ(record.stats.ok + record.stats.failed, record.stats.scheduled);
+  EXPECT_EQ(record.stats.timeouts, 0u);
+  EXPECT_EQ(record.latency.samples, record.stats.ok);
+  EXPECT_DOUBLE_EQ(record.goodput_per_sec,
+                   static_cast<double>(record.stats.ok) / 2.0);
+
+  // The write in flight at the window's end was drained, and no callback
+  // issues another one.
+  const std::uint64_t issued = system.hmi().counters().writes_issued;
+  EXPECT_EQ(system.hmi().pending_writes(), 0u);
+  system.run_until(system.loop().now() + seconds(2));
+  EXPECT_EQ(system.hmi().counters().writes_issued, issued);
+}
+
+TEST(BenchPipeline, ClosedLoopWritesCountLogicalTimeoutsAsFailures) {
+  core::ReplicatedOptions options;
+  options.write_timeout = millis(400);
+  core::ReplicatedDeployment system(options);
+  ItemId valve = system.add_point("valve", scada::Variant{0.0});
+  system.start();
+  system.net().set_policy(core::kFrontendEndpoint,
+                          core::kProxyFrontendEndpoint,
+                          sim::LinkPolicy::cut_link());
+
+  load::RunRecord record =
+      bench::closed_loop_writes(system, valve, "drops", 0, seconds(3));
+  EXPECT_GT(record.stats.failed, 2u);
+  EXPECT_EQ(record.stats.ok, 0u);
+  EXPECT_EQ(record.stats.ok + record.stats.failed, record.stats.scheduled);
+  EXPECT_EQ(record.latency.samples, 0u);
+  EXPECT_EQ(system.hmi().counters().writes_timeout,
+            system.hmi().counters().writes_issued);
 }
 
 }  // namespace
