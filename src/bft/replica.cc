@@ -328,7 +328,10 @@ void ReplicaCore::erase_pending(ClientId client, RequestId seq) {
 void ReplicaCore::arm_suspect_timer(ClientId client, RequestId seq) {
   PendingKey key{client.value, seq.value};
   auto existing = suspect_timers_.find(key);
-  if (existing != suspect_timers_.end() && existing->second.active()) return;
+  if (existing != suspect_timers_.end() && existing->second.suspect.active()) {
+    return;
+  }
+  RequestTimers& timers = suspect_timers_[key];
 
   auto still_pending = [this, client, seq] {
     if (crashed_ || executed_.contains(client, seq)) return false;
@@ -339,19 +342,19 @@ void ReplicaCore::arm_suspect_timer(ClientId client, RequestId seq) {
   // Phase 1 (request_timeout/2): the leader may never have received the
   // request — forward it before blaming anyone (PBFT-style).
   if (opt_.forward_to_leader) {
-    net_.schedule(skewed(opt_.request_timeout / 2), [this, client, seq,
-                                                    still_pending] {
-      if (!still_pending() || is_leader()) return;
-      auto cit = pending_index_.find(client.value);
-      auto rit = cit->second.find(seq.value);
-      ++stats_.requests_forwarded;
-      send_envelope(crypto::replica_principal(engine_->current_leader()),
-                    MsgType::kClientRequest, rit->second->encode());
-    });
+    timers.forward = net_.schedule(
+        skewed(opt_.request_timeout / 2), [this, client, seq, still_pending] {
+          if (!still_pending() || is_leader()) return;
+          auto cit = pending_index_.find(client.value);
+          auto rit = cit->second.find(seq.value);
+          ++stats_.requests_forwarded;
+          send_envelope(crypto::replica_principal(engine_->current_leader()),
+                        MsgType::kClientRequest, rit->second->encode());
+        });
   }
 
   // Phase 2 (request_timeout): the leader had its chance; vote it out.
-  suspect_timers_[key] =
+  timers.suspect =
       net_.schedule(skewed(opt_.request_timeout), [this, client, seq,
                                                   still_pending] {
         if (!still_pending()) return;
@@ -685,7 +688,7 @@ void ReplicaCore::handle_state_reply(const StateReply& rep) {
 void ReplicaCore::crash() {
   crashed_ = true;
   net_.detach(endpoint_);
-  for (auto& [key, timer] : suspect_timers_) timer.cancel();
+  for (auto& [key, timers] : suspect_timers_) timers.cancel();
   suspect_timers_.clear();
   pending_.clear();
   pending_index_.clear();
@@ -818,7 +821,7 @@ void ReplicaCore::reboot(ByteView genesis_full_snapshot) {
   executed_.clear();
   reply_cache_.clear();
   stall_check_armed_ = false;
-  for (auto& [key, timer] : suspect_timers_) timer.cancel();
+  for (auto& [key, timers] : suspect_timers_) timers.cancel();
   suspect_timers_.clear();
   transferring_ = false;
   state_replies_.clear();

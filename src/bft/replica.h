@@ -304,7 +304,18 @@ class ReplicaCore final : private EngineHost {
   bool stall_check_armed_ = false;
   std::uint64_t stall_target_ = 0;
 
-  std::map<PendingKey, net::Timer> suspect_timers_;
+  /// A pending request's two timers: forward it to the leader at
+  /// request_timeout/2, suspect the leader at request_timeout. Both go
+  /// when the request does.
+  struct RequestTimers {
+    net::Timer forward;
+    net::Timer suspect;
+    void cancel() {
+      forward.cancel();
+      suspect.cancel();
+    }
+  };
+  std::map<PendingKey, RequestTimers> suspect_timers_;
 
   // state transfer
   bool transferring_ = false;

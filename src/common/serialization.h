@@ -86,6 +86,9 @@ class Writer {
 
   const Bytes& bytes() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so a reused writer stops
+  /// allocating.
+  void clear() { buf_.clear(); }
   std::size_t size() const { return buf_.size(); }
 
  private:

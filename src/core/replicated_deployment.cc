@@ -77,12 +77,9 @@ ReplicatedDeployment::ReplicatedDeployment(ReplicatedOptions options)
     adapter_clients_.push_back(std::make_unique<bft::ClientProxy>(
         net_, opt_.group, ClientId{kAdapterClientBase + i}, keys_,
         timeout_client_options));
+    // Timeout injections reach the masters tagged with a neutral source:
+    // no adapter client is registered as a named source on purpose.
     adapters_[i]->attach_timeout_client(adapter_clients_.back().get());
-    for (std::uint32_t j = 0; j < n; ++j) {
-      // Timeout injections reach the masters tagged with a neutral source:
-      // no adapter client is registered as a named source on purpose.
-      (void)j;
-    }
   }
 
   // Proxies.

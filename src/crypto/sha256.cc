@@ -103,18 +103,15 @@ void Sha256::update(ByteView data) {
 }
 
 Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(ByteView(&pad, 1));
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(ByteView(&zero, 1));
-  std::uint8_t len_be[8];
+  // The padding (0x80, zeros up to 56 mod 64, the bit length big-endian)
+  // ends the message on a block boundary; one update() hashes all of it.
+  const std::uint64_t bit_len = total_len_ * 8;
+  std::uint8_t tail[72] = {0x80};
+  std::size_t n = (buffer_len_ < 56 ? 56 : 120) - buffer_len_;
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    tail[n++] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // update() with 8 bytes fills the block to 64 and compresses it; adjust
-  // total_len_ bookkeeping is irrelevant after this point.
-  update(ByteView(len_be, 8));
+  update(ByteView(tail, n));
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -46,29 +46,48 @@ struct Event {
   SimTime timestamp = 0;
   OpId op;             ///< operation that produced the event
 
+  /// id ‖ template ‖ tail. A handler repeats the template (item, severity,
+  /// code, message) from event to event; the tail (value, timestamp, op)
+  /// is what changes. EventStorage stores the two apart.
   void encode(Writer& w) const {
     w.id(id);
-    w.id(item);
-    w.enumeration(severity);
-    w.str(code);
-    w.str(message);
-    value.encode(w);
-    w.i64(timestamp);
-    w.id(op);
+    encode_template(w);
+    encode_tail(w);
   }
 
   static Event decode(Reader& r) {
     Event e;
     e.id = r.id<EventId>();
-    e.item = r.id<ItemId>();
-    e.severity =
-        r.enumeration<Severity>(static_cast<std::uint64_t>(Severity::kMax));
-    e.code = r.str();
-    e.message = r.str();
-    e.value = Variant::decode(r);
-    e.timestamp = r.i64();
-    e.op = r.id<OpId>();
+    e.decode_template(r);
+    e.decode_tail(r);
     return e;
+  }
+
+  void encode_template(Writer& w) const {
+    w.id(item);
+    w.enumeration(severity);
+    w.str(code);
+    w.str(message);
+  }
+
+  void decode_template(Reader& r) {
+    item = r.id<ItemId>();
+    severity =
+        r.enumeration<Severity>(static_cast<std::uint64_t>(Severity::kMax));
+    code = r.str();
+    message = r.str();
+  }
+
+  void encode_tail(Writer& w) const {
+    value.encode(w);
+    w.i64(timestamp);
+    w.id(op);
+  }
+
+  void decode_tail(Reader& r) {
+    value = Variant::decode(r);
+    timestamp = r.i64();
+    op = r.id<OpId>();
   }
 
   bool operator==(const Event&) const = default;

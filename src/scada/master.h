@@ -119,8 +119,9 @@ class ScadaMaster {
   crypto::Digest state_digest() const;
 
  private:
-  /// The snapshot as pieces: the encoded items through the storage header,
-  /// then views of the event log and of the historian's sample logs.
+  /// The snapshot as pieces: the encoded items through the storage header
+  /// and event templates, then views of the event log's records and of the
+  /// historian's sample logs.
   Pieces state_pieces() const;
 
   struct PendingWrite {

@@ -5,13 +5,21 @@
 // replicas can compare their entire event history in O(1) — the determinism
 // tests and checkpoint digests build on this.
 //
-// Resident events are kept in their canonical encoding (the bytes the chain
-// digest already hashes), back to back in a BlockLog, and decoded only when
-// queried. The log is exactly the event section of the replica snapshot, so
-// a snapshot copies it and a state digest hashes it in place instead of
-// re-encoding every event.
+// A handler raises the same few (item, severity, code, message) combinations
+// over and over: a Monitor's alarm differs from the last one only in value,
+// timestamp and op. So the storage keeps a table of those distinct templates
+// and stores each resident event as a compact record, back to back in a
+// BlockLog: the template's index, then the value, timestamp and op id (the
+// event id is implied by position). Queries decode on demand. The table and
+// the records are exactly the event section of the replica snapshot, so a
+// snapshot copies the blocks and a state digest hashes them where they lie.
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/serialization.h"
@@ -23,9 +31,22 @@ namespace ss::scada {
 
 class EventStorage {
  public:
+  /// Distinct templates the table holds. Write-failure and Block reasons
+  /// come from outside the Master, so distinct texts must not grow it
+  /// without bound: once it is full, a new template is stored inline in its
+  /// record.
+  static constexpr std::size_t kMaxTemplates = 1024;
+
   /// `retention` bounds memory: older events are evicted (their effect stays
   /// in the chain digest). 0 = unlimited.
   explicit EventStorage(std::size_t retention = 0) : retention_(retention) {}
+
+  // templates_ points at index_'s keys, which a move keeps in place and a
+  // copy would not.
+  EventStorage(EventStorage&&) = default;
+  EventStorage& operator=(EventStorage&&) = default;
+  EventStorage(const EventStorage&) = delete;
+  EventStorage& operator=(const EventStorage&) = delete;
 
   /// Assigns the next EventId, persists, extends the chain digest, and
   /// returns the stored record.
@@ -33,8 +54,10 @@ class EventStorage {
 
   std::uint64_t size() const { return appended_; }
   std::size_t resident() const { return log_.size(); }
+  /// Distinct templates in the table (at most kMaxTemplates).
+  std::size_t templates() const { return templates_.size(); }
 
-  /// Chain digest: H(prev_digest || encoded event), seeded with zeros.
+  /// Chain digest: H(prev_digest || Event::encode), seeded with zeros.
   const crypto::Digest& chain_digest() const { return chain_; }
 
   /// Events for one item, newest last (resident window only).
@@ -46,30 +69,54 @@ class EventStorage {
   /// Events with timestamp in [from, to] (resident window only).
   std::vector<Event> query_range(SimTime from, SimTime to) const;
 
-  /// Encoded bytes of the resident events (what encode() writes after the
-  /// header).
+  /// Encoded bytes of the resident records.
   std::size_t log_bytes() const { return log_.bytes(); }
 
-  /// Header (appended count, chain digest, resident count), then the log.
-  void encode_header(Writer& w) const;
+  /// The header (appended count, chain digest, resident count); when any
+  /// event was ever appended, the template count and templates, then the
+  /// records. A log that never held an event is the header alone.
   void encode(Writer& w) const;
-  /// The same bytes as encode(), with the log as views into its blocks
-  /// (valid until the next append or decode).
+  /// The same bytes as encode(), with the records as views into the log's
+  /// blocks (valid until the next append or decode).
   void encode(Pieces& out) const;
-  /// Decodes every event and stores its canonical re-encoding, so a
-  /// malformed event throws DecodeError and odd-but-decodable bytes never
-  /// enter the log.
+  /// Decodes the templates and records and stores their canonical
+  /// re-encodings, so odd-but-decodable bytes never enter the log. Throws
+  /// DecodeError on truncation, on more resident events than appended, on
+  /// more templates than kMaxTemplates or a duplicate one, on a tag past
+  /// the table, and on an inline template while the table had room or one
+  /// the table already holds.
   void decode(Reader& r);
 
  private:
-  /// Events are appended at a few hundred bytes each; 64 KiB blocks keep
-  /// the per-block overhead negligible.
+  /// A Monitor alarm's record is ~20 bytes; 64 KiB blocks keep the
+  /// per-block overhead negligible.
   static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+  struct TemplateHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  /// The record's tag for `key` (a template's encoding): 1 + its index,
+  /// adding it while the table has room, or 0 once the table is full.
+  std::uint64_t tag_for(std::string_view key);
+  /// Decodes every resident event and keeps those `keep` accepts.
+  template <typename Keep>
+  std::vector<Event> select(Keep keep) const;
 
   std::size_t retention_;
   BlockLog log_{kBlockBytes};
   std::uint64_t appended_ = 0;
   crypto::Digest chain_{};
+  /// Template encodings by index (a tag k names templates_[k - 1]).
+  std::vector<const std::string*> templates_;
+  /// The same templates keyed by their encoding.
+  std::unordered_map<std::string, std::uint32_t, TemplateHash, std::equal_to<>>
+      index_;
+  /// Reused by append() for the event's encoding and then its record.
+  Writer encoding_;
 };
 
 }  // namespace ss::scada

@@ -448,6 +448,98 @@ TEST(Bft, CheckpointDigestsMatchAcrossReplicas) {
   }
 }
 
+/// Passes everything through to another transport and keeps a ledger of
+/// the timers scheduled through it, so a test can count those still due.
+class TimerLedger final : public net::Transport {
+ public:
+  explicit TimerLedger(net::Transport& inner) : inner_(inner) {}
+
+  void attach(const std::string& name, Handler handler) override {
+    inner_.attach(name, std::move(handler));
+  }
+  void detach(const std::string& name) override { inner_.detach(name); }
+  bool attached(const std::string& name) const override {
+    return inner_.attached(name);
+  }
+  void send(const std::string& from, const std::string& to,
+            Bytes payload) override {
+    inner_.send(from, to, std::move(payload));
+  }
+  SimTime now() const override { return inner_.now(); }
+
+  net::Timer schedule(SimTime delay, std::function<void()> action) override {
+    auto entry = std::make_shared<Entry>();
+    entry->delay = delay;
+    entry->timer = inner_.schedule(
+        delay, [entry, action = std::move(action)] {
+          entry->fired = true;
+          action();
+        });
+    entries_.push_back(entry);
+    return net::Timer(entry);
+  }
+
+  /// Timers scheduled `delay` ahead that have neither fired nor been
+  /// cancelled.
+  std::size_t due(SimTime delay) const {
+    return static_cast<std::size_t>(std::count_if(
+        entries_.begin(), entries_.end(), [delay](const auto& e) {
+          return e->delay == delay && !e->fired && !e->cancelled;
+        }));
+  }
+
+ private:
+  struct Entry final : net::Timer::Impl {
+    net::Timer timer;
+    SimTime delay = 0;
+    bool fired = false;
+    bool cancelled = false;
+    void cancel() override {
+      cancelled = true;
+      timer.cancel();
+    }
+    bool active() const override { return timer.active(); }
+  };
+
+  net::Transport& inner_;
+  std::vector<std::shared_ptr<Entry>> entries_;
+};
+
+TEST(Bft, AnExecutedRequestLeavesNoTimerOfItsOwn) {
+  // Followers arm a forward timer (request_timeout / 2) and a suspect timer
+  // (request_timeout) per pending request; executing it must cancel both.
+  // The only other timer a replica may hold then is its one stall check,
+  // which also runs for request_timeout.
+  const ReplicaOptions options;
+  sim::EventLoop loop;
+  sim::Network net(loop, micros(50), 0);
+  crypto::Keychain keys{"bft-test"};
+  const GroupConfig group = GroupConfig::for_f(1);
+  std::vector<std::unique_ptr<TimerLedger>> ledgers;
+  std::vector<std::unique_ptr<KvApp>> apps;
+  std::vector<std::unique_ptr<Replica>> replicas;
+  for (ReplicaId id : group.replica_ids()) {
+    ledgers.push_back(std::make_unique<TimerLedger>(net));
+    apps.push_back(std::make_unique<KvApp>());
+    replicas.push_back(std::make_unique<Replica>(
+        *ledgers.back(), group, id, keys, *apps.back(), *apps.back(),
+        options));
+  }
+  ClientProxy client(net, group, ClientId{1}, keys, ClientOptions{});
+  bool done = false;
+  client.invoke_ordered(KvApp::put("grid", "stable"),
+                        [&](Bytes) { done = true; });
+  // Well inside request_timeout / 2 (200 ms): nothing a request arms has
+  // fired by itself yet.
+  loop.run_until(millis(50));
+  ASSERT_TRUE(done);
+  for (std::uint32_t i = 0; i < group.n; ++i) {
+    EXPECT_EQ(apps[i]->applied(), 1u);
+    EXPECT_EQ(ledgers[i]->due(options.request_timeout / 2), 0u) << i;
+    EXPECT_LE(ledgers[i]->due(options.request_timeout), 1u) << i;
+  }
+}
+
 class BftFSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(BftFSweep, ToleratesFCrashes) {

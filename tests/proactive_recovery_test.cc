@@ -2,13 +2,20 @@
 // reincarnation of the *current leader* mid-view (must trigger a clean view
 // change, not a stall), the session-key epoch handover window (old-epoch
 // traffic accepted inside the window, rejected after it), the supervisor's
-// restart-budget amnesty, and the durable epoch counter's crash semantics.
+// restart-budget amnesty, the durable epoch counter's crash semantics, and a
+// follower reincarnated during an alarm storm (its event log must come back
+// identical, templates and inline records alike).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "bft/messages.h"
 #include "core/replicated_deployment.h"
 #include "core/supervisor.h"
 #include "crypto/keychain.h"
+#include "scada/handlers.h"
 #include "storage/env.h"
 #include "storage/replica_storage.h"
 
@@ -69,6 +76,87 @@ TEST(ProactiveRecovery, LeaderReincarnationTriggersCleanViewChange) {
                           sim::LinkPolicy::cut_link());
   system.run_until(system.loop().now() + seconds(3));
   EXPECT_TRUE(system.masters_converged());
+}
+
+// ---------------------------------------------------------------------------
+// Reincarnation during an alarm storm
+
+/// Every update to every one of `items` points raises an alarm; follower 2
+/// is killed mid-storm and comes back by checkpoint, WAL replay and state
+/// transfer. Afterwards every replica holds the same event log.
+void reincarnate_during_alarm_storm(std::size_t items) {
+  ReplicatedOptions options = durable_options();
+  options.checkpoint_interval = 16;
+  ReplicatedDeployment system(options);
+  std::vector<ItemId> points;
+  for (std::size_t i = 0; i < items; ++i) {
+    points.push_back(system.add_point("plant/bay/" + std::to_string(i)));
+  }
+  system.configure_masters([&points](scada::ScadaMaster& master) {
+    for (ItemId point : points) {
+      master.handlers(point).emplace<scada::MonitorHandler>(
+          scada::MonitorHandler::Condition::kAbove, 50.0);
+    }
+  });
+  system.start();
+
+  std::size_t sent = 0;
+  auto update = [&] {
+    system.frontend().field_update(points[sent % items],
+                                   scada::Variant{100.0 + double(sent)});
+    if (++sent % 8 == 0) system.run_until(system.loop().now() + millis(2));
+  };
+  auto storm = [&](std::size_t updates) {
+    for (std::size_t k = 0; k < updates; ++k) update();
+    system.run_until(system.loop().now() + millis(50));
+  };
+  // Past the point where every point has raised its first alarm (and, with
+  // more points than the template table holds, where records go inline),
+  // so the checkpoint the reboot loads holds all of it.
+  storm(items + 100);
+  // Kill between checkpoints, so the reboot replays a WAL suffix.
+  while (system.replica(2).last_decided().value % options.checkpoint_interval ==
+         0) {
+    update();
+    system.run_until(system.loop().now() + millis(5));
+  }
+  system.kill_replica_process(2);
+  storm(100);
+  system.restart_replica_process(2);
+  EXPECT_GT(system.replica_storage(2)->stats().records_replayed, 0u);
+  const std::size_t table =
+      std::min(items, scada::EventStorage::kMaxTemplates);
+  EXPECT_GT(system.master(2).storage().size(), items);
+  EXPECT_EQ(system.master(2).storage().templates(), table);
+  storm(64);
+  system.net().set_policy(kFrontendEndpoint, kProxyFrontendEndpoint,
+                          sim::LinkPolicy::cut_link());
+  system.run_until(system.loop().now() + seconds(3));
+
+  EXPECT_GE(system.replica_stats(2).state_transfers, 1u);
+  EXPECT_EQ(system.master(0).storage().size(), sent);
+  EXPECT_EQ(system.master(0).storage().templates(), table);
+  const auto events = system.master(0).storage().query_range(0, seconds(600));
+  EXPECT_EQ(events.size(), sent);
+  for (std::uint32_t i = 1; i < system.n(); ++i) {
+    SCOPED_TRACE(i);
+    const scada::EventStorage& storage = system.master(i).storage();
+    EXPECT_EQ(system.master(i).state_digest(),
+              system.master(0).state_digest());
+    EXPECT_EQ(storage.chain_digest(),
+              system.master(0).storage().chain_digest());
+    EXPECT_EQ(storage.query_range(0, seconds(600)), events);
+  }
+}
+
+TEST(ProactiveRecovery, FollowerReincarnatedDuringAlarmStormConverges) {
+  reincarnate_during_alarm_storm(3);
+}
+
+TEST(ProactiveRecovery, ReincarnationCarriesInlineEventTemplates) {
+  // More monitored points than the template table holds: the last ones'
+  // alarms cross the checkpoint and the state transfer inline.
+  reincarnate_during_alarm_storm(scada::EventStorage::kMaxTemplates + 40);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // handlers, master routing, frontend, HMI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "scada/frontend.h"
@@ -10,6 +11,7 @@
 #include "scada/master.h"
 #include "scada/messages.h"
 #include "scada/storage.h"
+#include "heap_usage.h"
 
 namespace ss::scada {
 namespace {
@@ -238,31 +240,116 @@ TEST(Storage, EncodeDecodeRoundTrip) {
   EXPECT_EQ(restored.chain_digest(), storage.chain_digest());
 }
 
-/// Events of varied size: most are small, every 50th is larger than a log
-/// block, so a run crosses ordinary and oversized block boundaries.
+/// Events whose templates repeat: (item, severity, code) cycles through 60
+/// combinations. The value is a string of varied length, and every 50th is
+/// larger than a log block, so a run crosses ordinary and oversized block
+/// boundaries.
 Event sized_event(int i) {
   Event e;
   e.item = ItemId{static_cast<std::uint32_t>(1 + i % 3)};
   e.severity = static_cast<Severity>(i % 4);
-  e.code = "C" + std::to_string(i);
-  e.message = std::string(
+  e.code = "C" + std::to_string(i % 5);
+  e.message = "event on item " + std::to_string(1 + i % 3);
+  e.value = Variant{std::string(
       i % 50 == 49 ? 70000 : 40 + static_cast<std::size_t>(i * 379) % 3000,
-      'm');
+      'v')};
+  e.timestamp = millis(i);
+  e.op = OpId{static_cast<std::uint64_t>(i + 1)};
+  return e;
+}
+
+/// An event whose template no other `distinct_event` has: once more of them
+/// than EventStorage::kMaxTemplates were appended, records carry their
+/// template inline.
+Event distinct_event(int i) {
+  Event e;
+  e.item = ItemId{1};
+  e.severity = Severity::kWarning;
+  e.code = "WRITE_DENIED";
+  e.message = "write blocked on item 1: reason " + std::to_string(i);
   e.value = Variant{static_cast<double>(i)};
   e.timestamp = millis(i);
   e.op = OpId{static_cast<std::uint64_t>(i + 1)};
   return e;
 }
 
-/// What encode() wrote before events were kept encoded: the header, then
-/// each resident event encoded in turn.
-Bytes reference_encoding(const EventStorage& storage,
-                         const std::deque<Event>& resident) {
+/// The event log's snapshot section, written from the appended history
+/// alone: the header (appended count, chain digest, resident count); once
+/// anything was appended, the templates in order of first use (at most
+/// kMaxTemplates) and then each resident event as its template's 1-based
+/// index, or 0 and the template inline once the table was full, followed by
+/// value, timestamp and op.
+class ReferenceLog {
+ public:
+  explicit ReferenceLog(std::size_t retention) : retention_(retention) {}
+
+  void append(Event e) {
+    e.id = EventId{++appended_};
+    Writer encoded;
+    e.encode(encoded);
+    crypto::Sha256 hasher;
+    hasher.update(ByteView(chain_));
+    hasher.update(encoded.bytes());
+    chain_ = hasher.finish();
+    Bytes t = template_of(e);
+    if (std::find(table_.begin(), table_.end(), t) == table_.end() &&
+        table_.size() < EventStorage::kMaxTemplates) {
+      table_.push_back(std::move(t));
+    }
+    resident_.push_back(std::move(e));
+    if (retention_ > 0 && resident_.size() > retention_) resident_.pop_front();
+  }
+
+  Bytes encode() const {
+    Writer w;
+    w.varint(appended_);
+    w.raw(ByteView(chain_));
+    w.varint(resident_.size());
+    if (appended_ == 0) return std::move(w).take();
+    w.varint(table_.size());
+    for (const Bytes& t : table_) w.raw(t);
+    for (const Event& e : resident_) {
+      const Bytes t = template_of(e);
+      auto it = std::find(table_.begin(), table_.end(), t);
+      if (it != table_.end()) {
+        w.varint(static_cast<std::uint64_t>(it - table_.begin()) + 1);
+      } else {
+        w.varint(0);
+        w.raw(t);
+      }
+      e.value.encode(w);
+      w.i64(e.timestamp);
+      w.id(e.op);
+    }
+    return std::move(w).take();
+  }
+
+  const crypto::Digest& chain_digest() const { return chain_; }
+  std::size_t templates() const { return table_.size(); }
+  std::vector<Event> resident() const {
+    return {resident_.begin(), resident_.end()};
+  }
+
+ private:
+  static Bytes template_of(const Event& e) {
+    Writer w;
+    w.id(e.item);
+    w.enumeration(e.severity);
+    w.str(e.code);
+    w.str(e.message);
+    return std::move(w).take();
+  }
+
+  std::size_t retention_;
+  std::uint64_t appended_ = 0;
+  crypto::Digest chain_{};
+  std::vector<Bytes> table_;
+  std::deque<Event> resident_;
+};
+
+Bytes encoded(const EventStorage& storage) {
   Writer w;
-  w.varint(storage.size());
-  w.raw(ByteView(storage.chain_digest()));
-  w.varint(resident.size());
-  for (const Event& e : resident) e.encode(w);
+  storage.encode(w);
   return std::move(w).take();
 }
 
@@ -271,21 +358,34 @@ class StorageLog : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(StorageLog, EncodingMatchesPerEventReference) {
   const std::size_t retention = GetParam();
   EventStorage storage(retention);
-  std::deque<Event> resident;
+  ReferenceLog reference(retention);
+  ASSERT_EQ(encoded(storage), reference.encode());  // the header alone
+  auto check = [&](const Event& e, int i) {
+    Event stored = storage.append(e);
+    reference.append(e);
+    EXPECT_EQ(stored, reference.resident().back()) << "event " << i;
+    ASSERT_EQ(storage.chain_digest(), reference.chain_digest()) << i;
+    ASSERT_EQ(storage.resident(), reference.resident().size()) << i;
+    ASSERT_EQ(storage.templates(), reference.templates()) << i;
+  };
+  // Repeating templates, every append checked.
   for (int i = 0; i < 200; ++i) {
-    resident.push_back(storage.append(sized_event(i)));
-    if (retention > 0 && resident.size() > retention) resident.pop_front();
-    Writer w;
-    storage.encode(w);
-    ASSERT_EQ(w.bytes(), reference_encoding(storage, resident))
-        << "after event " << i;
-    ASSERT_EQ(storage.resident(), resident.size());
-    Writer header;  // snapshot() sizes its buffer from log_bytes()
-    storage.encode_header(header);
-    ASSERT_EQ(header.size() + storage.log_bytes(), w.size());
+    check(sized_event(i), i);
+    ASSERT_EQ(encoded(storage), reference.encode()) << "after event " << i;
   }
-  std::vector<Event> all(resident.begin(), resident.end());
-  EXPECT_EQ(storage.query_range(0, millis(1000)), all);
+  // Past the table's size: the last distinct templates go inline, and the
+  // repeating ones keep their tags.
+  for (int i = 0; i < 1100; ++i) {
+    check(i % 10 == 9 ? sized_event(200 + i) : distinct_event(i), 200 + i);
+    if (i % 100 == 99) {
+      ASSERT_EQ(encoded(storage), reference.encode()) << i;
+    }
+  }
+  EXPECT_EQ(storage.templates(), EventStorage::kMaxTemplates);
+  ASSERT_EQ(encoded(storage), reference.encode());
+
+  const std::vector<Event> all = reference.resident();
+  EXPECT_EQ(storage.query_range(0, millis(100000)), all);
   std::vector<Event> item2;
   for (const Event& e : all) {
     if (e.item == ItemId{2}) item2.push_back(e);
@@ -296,29 +396,30 @@ TEST_P(StorageLog, EncodingMatchesPerEventReference) {
 TEST_P(StorageLog, DecodeRestoresTheSameLog) {
   EventStorage storage(GetParam());
   for (int i = 0; i < 120; ++i) storage.append(sized_event(i));
-  Writer w;
-  storage.encode(w);
+  for (int i = 0; i < 1030; ++i) storage.append(distinct_event(i));
+  for (int i = 120; i < 125; ++i) storage.append(sized_event(i));
+  const Bytes w = encoded(storage);
 
   EventStorage restored(GetParam());
-  Reader r(w.bytes());
+  Reader r(w);
   restored.decode(r);
   EXPECT_TRUE(r.done());
-  Writer again;
-  restored.encode(again);
-  EXPECT_EQ(again.bytes(), w.bytes());
+  EXPECT_EQ(encoded(restored), w);
   EXPECT_EQ(restored.log_bytes(), storage.log_bytes());
+  EXPECT_EQ(restored.templates(), storage.templates());
   EXPECT_EQ(restored.query_severity(Severity::kAlarm),
             storage.query_severity(Severity::kAlarm));
+  EXPECT_EQ(restored.query_range(0, millis(100000)),
+            storage.query_range(0, millis(100000)));
 
-  // Both keep evicting and chaining identically after the restore.
-  for (int i = 120; i < 200; ++i) {
-    storage.append(sized_event(i));
-    restored.append(sized_event(i));
+  // Both keep evicting, chaining and choosing tags identically after the
+  // restore.
+  for (int i = 125; i < 200; ++i) {
+    storage.append(i % 2 ? sized_event(i) : distinct_event(2000 + i));
+    restored.append(i % 2 ? sized_event(i) : distinct_event(2000 + i));
   }
-  Writer a, b;
-  storage.encode(a);
-  restored.encode(b);
-  EXPECT_EQ(a.bytes(), b.bytes());
+  EXPECT_EQ(encoded(restored), encoded(storage));
+  EXPECT_EQ(restored.chain_digest(), storage.chain_digest());
 }
 
 INSTANTIATE_TEST_SUITE_P(Retention, StorageLog, ::testing::Values(0u, 4u));
@@ -327,12 +428,156 @@ TEST(Storage, DecodeRejectsTruncatedEvent) {
   EventStorage storage;
   storage.append(sized_event(1));
   storage.append(sized_event(2));
-  Writer w;
-  storage.encode(w);
-  Bytes truncated(w.bytes().begin(), w.bytes().end() - 1);
+  Bytes truncated = encoded(storage);
+  truncated.pop_back();
   EventStorage restored;
   Reader r(truncated);
   EXPECT_THROW(restored.decode(r), DecodeError);
+}
+
+/// An event section built by hand: the header, then (unless `appended` is
+/// 0) `templates` and `records`, each already encoded.
+Bytes event_section(std::uint64_t appended, std::uint64_t resident,
+                    const std::vector<Bytes>& templates,
+                    const std::vector<Bytes>& records) {
+  Writer w;
+  w.varint(appended);
+  w.raw(ByteView(crypto::Digest{}));
+  w.varint(resident);
+  if (appended > 0) {
+    w.varint(templates.size());
+    for (const Bytes& t : templates) w.raw(t);
+    for (const Bytes& r : records) w.raw(r);
+  }
+  return std::move(w).take();
+}
+
+Bytes template_bytes(int i) {
+  Writer w;
+  distinct_event(i).encode_template(w);
+  return std::move(w).take();
+}
+
+Bytes record_bytes(std::uint64_t tag, const Bytes& inline_template = {}) {
+  Writer w;
+  w.varint(tag);
+  w.raw(inline_template);
+  distinct_event(0).encode_tail(w);
+  return std::move(w).take();
+}
+
+void decode_section(const Bytes& bytes) {
+  EventStorage storage;
+  Reader r(bytes);
+  storage.decode(r);
+  r.expect_done();
+}
+
+TEST(Storage, DecodeRejectsMalformedSections) {
+  std::vector<Bytes> full;
+  for (int i = 0; i < static_cast<int>(EventStorage::kMaxTemplates); ++i) {
+    full.push_back(template_bytes(i));
+  }
+  // Well-formed: a tagged record, and an inline one past a full table.
+  EXPECT_NO_THROW(decode_section(
+      event_section(3, 1, {template_bytes(0)}, {record_bytes(1)})));
+  EXPECT_NO_THROW(decode_section(event_section(
+      3, 2, full, {record_bytes(1), record_bytes(0, template_bytes(-1))})));
+
+  // More resident events than appended.
+  EXPECT_THROW(
+      decode_section(event_section(1, 2, {template_bytes(0)},
+                                   {record_bytes(1), record_bytes(1)})),
+      DecodeError);
+  // More templates than the table holds, or one twice.
+  std::vector<Bytes> over = full;
+  over.push_back(template_bytes(-1));
+  EXPECT_THROW(decode_section(event_section(1, 1, over, {record_bytes(1)})),
+               DecodeError);
+  EXPECT_THROW(decode_section(event_section(
+                   1, 1, {template_bytes(0), template_bytes(0)},
+                   {record_bytes(1)})),
+               DecodeError);
+  // A tag past the table.
+  EXPECT_THROW(decode_section(
+                   event_section(1, 1, {template_bytes(0)}, {record_bytes(2)})),
+               DecodeError);
+  // An inline template while the table has room, or one it already holds.
+  EXPECT_THROW(decode_section(event_section(
+                   1, 1, {template_bytes(0)},
+                   {record_bytes(0, template_bytes(1))})),
+               DecodeError);
+  EXPECT_THROW(decode_section(event_section(
+                   1, 1, full, {record_bytes(0, template_bytes(7))})),
+               DecodeError);
+  // A record cut short, and a byte past the last record.
+  Bytes cut = event_section(1, 1, {template_bytes(0)}, {record_bytes(1)});
+  cut.pop_back();
+  EXPECT_THROW(decode_section(cut), DecodeError);
+  Bytes trailing = event_section(1, 1, {template_bytes(0)}, {record_bytes(1)});
+  trailing.push_back(0);
+  EXPECT_THROW(decode_section(trailing), DecodeError);
+  // A log that never held an event is its header alone.
+  EXPECT_THROW(decode_section(event_section(0, 1, {}, {})), DecodeError);
+  Bytes empty = event_section(0, 0, {}, {});
+  EXPECT_EQ(empty.size(), 1 + 32 + 1u);
+  EXPECT_NO_THROW(decode_section(empty));
+}
+
+TEST(Storage, CorruptedSectionsThrowOrDecodeToACanonicalLog) {
+  // A state transfer's snapshot comes from a peer that may be Byzantine:
+  // every single-bit flip of a valid section either throws DecodeError or
+  // leaves a log that re-encodes to a fixpoint and answers queries.
+  EventStorage storage;
+  for (int i = 0; i < 4; ++i) storage.append(distinct_event(i));
+  for (int i = 0; i < 4; ++i) storage.append(distinct_event(i % 2));
+  const Bytes section = encoded(storage);
+  int decoded = 0;
+  for (std::size_t at = 0; at < section.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes bytes = section;
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+      EventStorage restored;
+      Reader r(bytes);
+      try {
+        restored.decode(r);
+      } catch (const DecodeError&) {
+        continue;
+      }
+      ++decoded;
+      const Bytes again = encoded(restored);
+      EventStorage twice;
+      Reader r2(again);
+      twice.decode(r2);
+      EXPECT_TRUE(r2.done()) << at << ":" << bit;
+      EXPECT_EQ(encoded(twice), again) << at << ":" << bit;
+      EXPECT_EQ(restored.query_severity(Severity::kInfo).size(),
+                restored.resident());
+    }
+  }
+  EXPECT_GT(decoded, 0);
+}
+
+TEST(StorageFootprint, MonitorEventsStayCompact) {
+  SS_REQUIRE_HEAP_USAGE();
+  constexpr int kEvents = 20000;
+  const std::size_t before = test::heap_in_use();
+  {
+    EventStorage storage;
+    Event e;
+    e.item = ItemId{1};
+    e.severity = Severity::kAlarm;
+    e.code = "MONITOR_TRIGGER";
+    e.message = "monitor condition met on item plant/reactor/temperature";
+    for (int k = 0; k < kEvents; ++k) {
+      e.value = Variant{1e9 + k};
+      e.timestamp = static_cast<SimTime>(k + 1) * 1000;
+      e.op = OpId{static_cast<std::uint64_t>(k + 1)};
+      storage.append(e);
+    }
+    const std::size_t used = test::heap_in_use() - before;
+    EXPECT_LE(used, 32u * kEvents) << used / kEvents << " bytes per event";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -882,6 +1127,45 @@ TEST_P(MasterState, RestoreRejectsTruncatedEventAndTrailingByte) {
   EXPECT_EQ(other.master.snapshot(), before);
   other.master.restore(snap);
   EXPECT_EQ(other.master.snapshot(), snap);
+}
+
+/// One Monitor per item on more items than the template table holds, so
+/// an alarm on each leaves the last items' events with their template
+/// inline. Returns the items.
+std::vector<ItemId> add_monitored_bays(MasterHarness& h) {
+  std::vector<ItemId> items;
+  for (std::size_t i = 0; i < EventStorage::kMaxTemplates + 8; ++i) {
+    ItemId item = h.master.add_item("bay/" + std::to_string(i));
+    h.master.handlers(item).emplace<MonitorHandler>(
+        MonitorHandler::Condition::kAbove, 10.0);
+    items.push_back(item);
+  }
+  return items;
+}
+
+TEST_P(MasterState, StateDigestHashesTheSnapshotWithInlineTemplates) {
+  MasterHarness h(GetParam());
+  std::uint64_t op = 0;
+  for (ItemId item : add_monitored_bays(h)) {
+    ItemUpdate update;
+    update.item = item;
+    update.value = Variant{20.0 + static_cast<double>(op)};
+    ++op;
+    h.master.handle(ScadaMessage{update},
+                    h.ctx(op, millis(static_cast<SimTime>(op))), "frontend");
+  }
+  ASSERT_EQ(h.master.storage().templates(), EventStorage::kMaxTemplates);
+  ASSERT_EQ(h.master.storage().size(), op);
+  const Bytes snap = h.master.snapshot();
+  EXPECT_EQ(h.master.state_digest(), crypto::Sha256::hash(snap));
+
+  MasterHarness other(GetParam());
+  add_monitored_bays(other);
+  other.master.restore(snap);
+  EXPECT_EQ(other.master.snapshot(), snap);
+  EXPECT_EQ(other.master.state_digest(), h.master.state_digest());
+  EXPECT_EQ(other.master.storage().query_range(0, millis(100000)),
+            h.master.storage().query_range(0, millis(100000)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Retention, MasterState, ::testing::Values(0u, 4u));
