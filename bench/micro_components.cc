@@ -19,6 +19,8 @@
 #include "scada/master.h"
 #include "scada/messages.h"
 #include "scada/storage.h"
+#include "storage/checkpoint.h"
+#include "storage/env.h"
 
 namespace {
 
@@ -218,6 +220,26 @@ void BM_MasterStateDigest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MasterStateDigest)->Arg(20000);
+
+/// A durable checkpoint of the same state on the in-memory Env: the file is
+/// written from the state's pieces with the CRC chained over them, as a
+/// replica writes it every checkpoint interval.
+void BM_CheckpointWrite(benchmark::State& state) {
+  auto master = alarm_master(state.range(0));
+  storage::MemEnv env;
+  storage::CheckpointStore store(env, "replica-0");
+  storage::CheckpointMeta meta;
+  meta.cid = ConsensusId{128};
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    Pieces pieces = master->state_pieces();
+    bytes = pieces.size();
+    store.write(meta, std::move(pieces));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointWrite)->Arg(20000);
 
 /// One Tracer::record: the per-span cost a replica's Adapter pays twice per
 /// op (its "master" and "adapter" spans).

@@ -5,7 +5,7 @@
 // highest sequence numbers executed, sorted, in a flat deque: an in-order
 // request appends at the back, a lookup is one comparison with the back or
 // a binary search, and the window slides with pop_front. It is part of the
-// replica's full snapshot (ReplicaCore::encode_full_snapshot).
+// replica's full snapshot (ReplicaCore::full_snapshot_pieces).
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "common/bytes.h"
+#include "common/serialization.h"
 #include "common/types.h"
 #include "crypto/sha256.h"
 
@@ -50,6 +51,16 @@ class Recoverable {
 
   /// Serializes the full application state (deterministically!).
   virtual Bytes snapshot() const = 0;
+
+  /// snapshot()'s bytes as pieces, which checkpoints and state replies are
+  /// written from. Applications whose state is large override it to view
+  /// their state where it lies instead of joining it into one buffer; the
+  /// views stay valid until the state next changes.
+  virtual Pieces state_pieces() const {
+    Pieces out;
+    out.adopt(snapshot());
+    return out;
+  }
 
   /// Replaces the application state with a snapshot.
   virtual void restore(ByteView snapshot) = 0;

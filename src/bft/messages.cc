@@ -59,26 +59,46 @@ Bytes Envelope::encode() const {
 }
 
 Envelope Envelope::decode(ByteView data) {
+  return decode(Bytes(data.begin(), data.end()));
+}
+
+Envelope Envelope::decode(Bytes&& data) {
   Reader r(data);
   Envelope e;
   e.type = r.enumeration<MsgType>(static_cast<std::uint64_t>(MsgType::kMax));
   e.sender = r.str();
   e.epoch = r.varint32();
-  e.body = r.blob();
+  ByteView body = r.blob_view();
   e.mac = get_digest(r);
   r.expect_done();
+  const std::ptrdiff_t offset = body.data() - data.data();
+  const std::size_t size = body.size();
+  data.erase(data.begin(), data.begin() + offset);
+  data.resize(size);
+  e.body = std::move(data);
   return e;
+}
+
+Pieces envelope_mac_pieces(MsgType type, const std::string& sender,
+                           const std::string& receiver, std::uint32_t epoch,
+                           const Bytes& body) {
+  Pieces out(sender.size() + receiver.size() + 16);
+  Writer& w = out.writer();
+  w.enumeration(type);
+  w.str(sender);
+  w.str(receiver);
+  w.varint(epoch);
+  w.varint(body.size());
+  out.view(body);
+  return out;
 }
 
 Bytes envelope_mac_material(MsgType type, const std::string& sender,
                             const std::string& receiver, std::uint32_t epoch,
                             const Bytes& body) {
-  Writer w(body.size() + sender.size() + receiver.size() + 16);
-  w.enumeration(type);
-  w.str(sender);
-  w.str(receiver);
-  w.varint(epoch);
-  w.blob(body);
+  Pieces pieces = envelope_mac_pieces(type, sender, receiver, epoch, body);
+  Writer w(pieces.size());
+  pieces.write_to(w);
   return std::move(w).take();
 }
 
@@ -437,32 +457,73 @@ StateRequest StateRequest::decode(ByteView data) {
   return m;
 }
 
-Bytes StateReply::encode() const {
-  Writer w(snapshot.size() + 24);
-  w.id(replica);
+namespace {
+
+/// The (cid, last_timestamp) fields and the snapshot's length prefix, as
+/// both the reply's encoding and its digest lay them out.
+void put_state_header(Writer& w, ConsensusId cid, SimTime last_timestamp,
+                      std::size_t snapshot_size) {
   w.id(cid);
   w.i64(last_timestamp);
-  w.blob(snapshot);
+  w.varint(snapshot_size);
+}
+
+crypto::Digest state_digest(ConsensusId cid, SimTime last_timestamp,
+                            ByteView snapshot) {
+  Writer header(24);
+  put_state_header(header, cid, last_timestamp, snapshot.size());
+  crypto::Sha256 hasher;
+  hasher.update(header.bytes());
+  hasher.update(snapshot);
+  return hasher.finish();
+}
+
+}  // namespace
+
+Bytes encode_state_reply(ReplicaId replica, ConsensusId cid,
+                         SimTime last_timestamp, const Pieces& snapshot) {
+  Writer header(32);
+  header.id(replica);
+  put_state_header(header, cid, last_timestamp, snapshot.size());
+  Writer w(header.size() + snapshot.size());
+  w.raw(header.bytes());
+  snapshot.write_to(w);
   return std::move(w).take();
 }
 
+Bytes StateReply::encode() const {
+  Pieces pieces;
+  pieces.view(snapshot);
+  return encode_state_reply(replica, cid, last_timestamp, pieces);
+}
+
 StateReply StateReply::decode(ByteView data) {
-  Reader r(data);
+  StateReplyView view = StateReplyView::decode(data);
   StateReply m;
-  m.replica = r.id<ReplicaId>();
-  m.cid = r.id<ConsensusId>();
-  m.last_timestamp = r.i64();
-  m.snapshot = r.blob();
-  r.expect_done();
+  m.replica = view.replica;
+  m.cid = view.cid;
+  m.last_timestamp = view.last_timestamp;
+  m.snapshot.assign(view.snapshot.begin(), view.snapshot.end());
   return m;
 }
 
 crypto::Digest StateReply::digest() const {
-  Writer w(snapshot.size() + 24);
-  w.id(cid);
-  w.i64(last_timestamp);
-  w.blob(snapshot);
-  return crypto::Sha256::hash(std::move(w).take());
+  return state_digest(cid, last_timestamp, snapshot);
+}
+
+StateReplyView StateReplyView::decode(ByteView data) {
+  Reader r(data);
+  StateReplyView m;
+  m.replica = r.id<ReplicaId>();
+  m.cid = r.id<ConsensusId>();
+  m.last_timestamp = r.i64();
+  m.snapshot = r.blob_view();
+  r.expect_done();
+  return m;
+}
+
+crypto::Digest StateReplyView::digest() const {
+  return state_digest(cid, last_timestamp, snapshot);
 }
 
 }  // namespace ss::bft

@@ -57,6 +57,9 @@ struct Envelope {
 
   Bytes encode() const;
   static Envelope decode(ByteView data);  // throws DecodeError
+  /// decode() that keeps `data`'s buffer as the body: the header is cut
+  /// off in place, so a large body is never copied.
+  static Envelope decode(Bytes&& data);  // throws DecodeError
 };
 
 /// Byte string an Envelope's HMAC covers: (type, sender, receiver, epoch,
@@ -65,6 +68,11 @@ struct Envelope {
 Bytes envelope_mac_material(MsgType type, const std::string& sender,
                             const std::string& receiver, std::uint32_t epoch,
                             const Bytes& body);
+/// The same bytes as pieces: the fields, then a view of `body` (which must
+/// outlive them). What senders and receivers MAC, so no body is copied.
+Pieces envelope_mac_pieces(MsgType type, const std::string& sender,
+                           const std::string& receiver, std::uint32_t epoch,
+                           const Bytes& body);
 
 enum class RequestMode : std::uint8_t { kOrdered = 0, kUnordered = 1 };
 
@@ -276,5 +284,22 @@ struct StateReply {
   /// Digest over (cid, last_timestamp, snapshot) — what the requester votes on.
   crypto::Digest digest() const;
 };
+
+/// A StateReply read where it lies: `snapshot` views the decoded buffer.
+struct StateReplyView {
+  ReplicaId replica;
+  ConsensusId cid;
+  SimTime last_timestamp = 0;
+  ByteView snapshot;
+
+  static StateReplyView decode(ByteView data);  // throws DecodeError
+  /// StateReply::digest(), hashing the snapshot in place.
+  crypto::Digest digest() const;
+};
+
+/// StateReply::encode() of a snapshot kept as pieces, into one buffer of
+/// exactly the encoded size.
+Bytes encode_state_reply(ReplicaId replica, ConsensusId cid,
+                         SimTime last_timestamp, const Pieces& snapshot);
 
 }  // namespace ss::bft

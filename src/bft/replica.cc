@@ -94,20 +94,20 @@ void ReplicaCore::usig_persist_lease(std::uint64_t lease) {
 void ReplicaCore::on_message(net::Message msg) {
   if (crashed_) return;
   lanes_.submit(opt_.per_message_cost + processing_delay_,
-                [this, payload = std::move(msg.payload)] {
+                [this, payload = std::move(msg.payload)]() mutable {
                   if (crashed_) return;
-                  deliver(prevalidate(payload));
+                  deliver(prevalidate(std::move(payload)));
                 });
 }
 
-ReplicaCore::Inbound ReplicaCore::prevalidate(const Bytes& payload) const {
+ReplicaCore::Inbound ReplicaCore::prevalidate(Bytes payload) const {
   // The pure step: everything it reads (endpoint_, keys_, group_, id_, the
   // engine's immutable identity) is fixed for the replica's lifetime, and
   // every operation (decode, HMAC, SHA-256) is a pure function of its
   // inputs.
   Inbound in;
   try {
-    in.env = Envelope::decode(payload);
+    in.env = Envelope::decode(std::move(payload));
   } catch (const DecodeError&) {
     in.decode_failed = true;
     return in;
@@ -115,9 +115,9 @@ ReplicaCore::Inbound ReplicaCore::prevalidate(const Bytes& payload) const {
   // Verify under the epoch the sender claims; whether that epoch is still
   // current is a stateful policy question (accept_sender_epoch) — here we
   // only establish that the sender holds the keys for it.
-  Bytes material = envelope_mac_material(in.env.type, in.env.sender, endpoint_,
-                                         in.env.epoch, in.env.body);
-  if (!keys_.verify(in.env.sender, endpoint_, in.env.epoch, material,
+  if (!keys_.verify(in.env.sender, endpoint_, in.env.epoch,
+                    envelope_mac_pieces(in.env.type, in.env.sender, endpoint_,
+                                        in.env.epoch, in.env.body),
                     in.env.mac)) {
     in.mac_failed = true;
     return in;
@@ -185,9 +185,10 @@ void ReplicaCore::dispatch(Envelope env, Prevalidated pre) {
       break;
     }
     case MsgType::kStateReply: {
-      StateReply rep = StateReply::decode(env.body);
+      StateReplyView rep = StateReplyView::decode(env.body);
       if (env.sender != crypto::replica_principal(rep.replica)) return;
-      handle_state_reply(rep);
+      // Moving the body keeps its buffer, which `rep` views.
+      handle_state_reply(rep, std::move(env.body));
       break;
     }
     case MsgType::kClientReply:
@@ -221,7 +222,7 @@ void ReplicaCore::send_envelope(const std::string& to, MsgType type,
   env.body = std::move(body);
   env.mac = keys_.mac(
       endpoint_, to, key_epoch_,
-      envelope_mac_material(type, endpoint_, to, key_epoch_, env.body));
+      envelope_mac_pieces(type, endpoint_, to, key_epoch_, env.body));
   net_.send(endpoint_, to, env.encode());
 }
 
@@ -463,11 +464,13 @@ void ReplicaCore::push_to_client(ClientId client, Bytes payload) {
 /// Replica-level recovery state (dedup table + reply cache) bundled with
 /// the application snapshot, so a restored replica neither re-executes
 /// requests nor goes mute toward retransmitting clients.
-Bytes ReplicaCore::encode_full_snapshot() const {
-  Bytes app_snapshot = recoverable_.snapshot();
-  Writer w(app_snapshot.size() + 64);
-  w.blob(app_snapshot);
+Pieces ReplicaCore::full_snapshot_pieces() const {
+  Pieces app = recoverable_.state_pieces();
+  Pieces out(16);
+  out.writer().varint(app.size());  // the app snapshot's blob length prefix
+  out.append(std::move(app));
 
+  Writer& w = out.writer();
   executed_.encode(w);
 
   w.varint(reply_cache_.size());
@@ -480,12 +483,19 @@ Bytes ReplicaCore::encode_full_snapshot() const {
       w.blob(cached.payload);
     }
   }
+  return out;
+}
+
+Bytes ReplicaCore::full_snapshot() const {
+  Pieces pieces = full_snapshot_pieces();
+  Writer w(pieces.size());
+  pieces.write_to(w);
   return std::move(w).take();
 }
 
 void ReplicaCore::apply_full_snapshot(ByteView data) {
   Reader r(data);
-  Bytes app_snapshot = r.blob();
+  ByteView app_snapshot = r.blob_view();
 
   DedupTable executed = DedupTable::decode(r);
 
@@ -529,12 +539,11 @@ void ReplicaCore::checkpoint_now() {
 
 void ReplicaCore::write_storage_checkpoint() {
   if (storage_ == nullptr || !checkpoint_digest_.has_value()) return;
-  storage::Checkpoint ckpt;
-  ckpt.cid = checkpoint_cid_;
-  ckpt.last_timestamp = last_timestamp_;
-  ckpt.app_digest = *checkpoint_digest_;
-  ckpt.full_snapshot = encode_full_snapshot();
-  storage_->write_checkpoint(ckpt);
+  storage::CheckpointMeta meta;
+  meta.cid = checkpoint_cid_;
+  meta.last_timestamp = last_timestamp_;
+  meta.app_digest = *checkpoint_digest_;
+  storage_->write_checkpoint(meta, full_snapshot_pieces());
 }
 
 void ReplicaCore::request_state_now() {
@@ -595,16 +604,12 @@ void ReplicaCore::arm_stall_check(std::uint64_t target) {
 
 void ReplicaCore::handle_state_request(const StateRequest& req) {
   if (req.requester == id_ || req.requester.value >= group_.n) return;
-  StateReply rep;
-  rep.replica = id_;
-  rep.cid = last_decided_;
-  rep.last_timestamp = last_timestamp_;
-  rep.snapshot = encode_full_snapshot();
   send_envelope(crypto::replica_principal(req.requester), MsgType::kStateReply,
-                rep.encode());
+                encode_state_reply(id_, last_decided_, last_timestamp_,
+                                   full_snapshot_pieces()));
 }
 
-void ReplicaCore::handle_state_reply(const StateReply& rep) {
+void ReplicaCore::handle_state_reply(const StateReplyView& rep, Bytes body) {
   if (!transferring_) return;
   if (rep.replica.value >= group_.n) return;
   if (rep.cid.value <= last_decided_.value) {
@@ -620,66 +625,66 @@ void ReplicaCore::handle_state_reply(const StateReply& rep) {
     }
     return;
   }
-  auto& bucket = state_replies_[rep.cid.value];
-  for (const StateReply& existing : bucket) {
-    if (existing.replica == rep.replica) return;  // one vote per replica
-  }
-  bucket.push_back(rep);
+  // The reply replaces the peer's previous one, so a peer that answers
+  // with many cids holds one snapshot here, not one per cid. Its digest is
+  // taken once, hashing the snapshot where it lies in the body.
+  HeldStateReply& held = state_replies_[rep.replica.value];
+  held.digest = rep.digest();
+  held.body = std::move(body);
 
   // f+1 replies with identical (cid, timestamp, snapshot) digests ensure at
-  // least one is from a correct replica.
-  std::map<crypto::Digest, std::uint32_t> counts;
-  for (const StateReply& r : bucket) ++counts[r.digest()];
-  const crypto::Digest* winner = nullptr;
-  for (const auto& [digest, count] : counts) {
-    if (count >= group_.reply_quorum()) {
-      winner = &digest;
-      break;
-    }
+  // least one is from a correct replica. Only the reply just held can have
+  // completed a quorum.
+  std::uint32_t matching = 0;
+  for (const auto& [peer, other] : state_replies_) {
+    if (other.digest == held.digest) ++matching;
   }
-  if (winner == nullptr) return;
+  if (matching < group_.reply_quorum()) return;
 
-  for (const StateReply& r : bucket) {
-    if (r.digest() != *winner) continue;
+  const ConsensusId cid = rep.cid;
+  const SimTime timestamp = rep.last_timestamp;
+  {
+    // Apply from the reply just held, every other dropped first, so the
+    // state is held at most once more while the snapshot is restored.
+    const Bytes winner = std::move(held.body);
+    state_replies_.clear();
     try {
-      apply_full_snapshot(r.snapshot);
+      apply_full_snapshot(StateReplyView::decode(winner).snapshot);
     } catch (const DecodeError&) {
       return;  // malformed despite quorum: keep waiting
     }
-    last_decided_ = r.cid;
-    last_timestamp_ = r.last_timestamp;
-    engine_->on_state_transfer_applied();
-    transferring_ = false;
-    state_retry_level_ = 0;
-    state_replies_.clear();
-    ++stats_.state_transfers;
-    note_rejoin_complete();
-    if (storage_ != nullptr) {
-      // The frontier just jumped past decisions this replica never logged.
-      // Persist the transferred state as a checkpoint immediately (which
-      // also truncates the now-stale WAL prefix) so the on-disk WAL never
-      // has a seq gap below the checkpoint it would replay against.
-      checkpoint_digest_ = recoverable_.state_digest();
-      checkpoint_cid_ = last_decided_;
-      write_storage_checkpoint();
-    }
-    SS_LOG(LogLevel::kInfo, net_.now(), endpoint_.c_str(),
-           "state transfer complete at cid=%lu",
-           static_cast<unsigned long>(last_decided_.value));
-    // Drop pending requests that the snapshot already covers.
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (executed_.contains(it->client, it->sequence)) {
-        ClientId c = it->client;
-        RequestId s = it->sequence;
-        ++it;
-        erase_pending(c, s);
-      } else {
-        ++it;
-      }
-    }
-    engine_->on_request_ready();
-    return;
   }
+  last_decided_ = cid;
+  last_timestamp_ = timestamp;
+  engine_->on_state_transfer_applied();
+  transferring_ = false;
+  state_retry_level_ = 0;
+  ++stats_.state_transfers;
+  note_rejoin_complete();
+  if (storage_ != nullptr) {
+    // The frontier just jumped past decisions this replica never logged.
+    // Persist the transferred state as a checkpoint immediately (which
+    // also truncates the now-stale WAL prefix) so the on-disk WAL never
+    // has a seq gap below the checkpoint it would replay against.
+    checkpoint_digest_ = recoverable_.state_digest();
+    checkpoint_cid_ = last_decided_;
+    write_storage_checkpoint();
+  }
+  SS_LOG(LogLevel::kInfo, net_.now(), endpoint_.c_str(),
+         "state transfer complete at cid=%lu",
+         static_cast<unsigned long>(last_decided_.value));
+  // Drop pending requests that the snapshot already covers.
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (executed_.contains(it->client, it->sequence)) {
+      ClientId c = it->client;
+      RequestId s = it->sequence;
+      ++it;
+      erase_pending(c, s);
+    } else {
+      ++it;
+    }
+  }
+  engine_->on_request_ready();
 }
 
 // --------------------------------------------------------------------------
@@ -755,11 +760,11 @@ void ReplicaCore::recover_from_storage() {
     }
   }
 
-  // Replay a copy: maybe_checkpoint() inside the loop may write a durable
-  // checkpoint, and ReplicaStorage::write_checkpoint() truncates the WAL's
-  // own record vector — iterating it directly would invalidate the loop's
-  // iterators the moment a replayed seq lands on a checkpoint boundary.
-  const std::vector<storage::Wal::Record> records = storage_->wal_records();
+  // The records are handed over, not copied: maybe_checkpoint() inside the
+  // loop may write a durable checkpoint and truncate the WAL file, which
+  // leaves this vector as it is.
+  const std::vector<storage::Wal::Record> records =
+      storage_->take_wal_records();
   replaying_ = true;
   for (const storage::Wal::Record& rec : records) {
     if (rec.seq <= last_decided_.value) continue;  // covered by checkpoint

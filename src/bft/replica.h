@@ -163,7 +163,10 @@ class ReplicaCore final : private EngineHost {
 
   /// The full recovery image (app snapshot + dedup table + reply cache) —
   /// what state transfer ships and checkpoints persist.
-  Bytes full_snapshot() const { return encode_full_snapshot(); }
+  Bytes full_snapshot() const;
+
+  /// State replies held for the transfer in flight: at most one per peer.
+  std::size_t held_state_replies() const { return state_replies_.size(); }
 
   void set_byzantine(ByzantineMode mode) { byzantine_ = mode; }
   ByzantineMode byzantine() const override { return byzantine_; }
@@ -236,8 +239,9 @@ class ReplicaCore final : private EngineHost {
   // --- networking ---------------------------------------------------------
   void on_message(net::Message msg);
   /// The pure step: decode + MAC verify + per-type pre-validation. Reads
-  /// only state fixed for the replica's lifetime.
-  Inbound prevalidate(const Bytes& payload) const;
+  /// only state fixed for the replica's lifetime. The payload's buffer
+  /// becomes the envelope body.
+  Inbound prevalidate(Bytes payload) const;
   /// The stateful step: stats for failed pure steps, then dispatch.
   void deliver(Inbound in);
   void dispatch(Envelope env, Prevalidated pre);
@@ -265,10 +269,13 @@ class ReplicaCore final : private EngineHost {
   void arm_stall_check(std::uint64_t target);
   void request_state_now();
   void resend_cached_reply(ClientId client, RequestId seq);
-  Bytes encode_full_snapshot() const;
+  /// The full recovery image as pieces: the app state's own pieces behind
+  /// their length prefix, then the dedup table and the reply cache.
+  Pieces full_snapshot_pieces() const;
   void apply_full_snapshot(ByteView data);
   void handle_state_request(const StateRequest& req);
-  void handle_state_reply(const StateReply& rep);
+  /// `rep` views `body`, the envelope body as it arrived.
+  void handle_state_reply(const StateReplyView& rep, Bytes body);
 
   net::Transport& net_;
   GroupConfig group_;
@@ -319,7 +326,15 @@ class ReplicaCore final : private EngineHost {
 
   // state transfer
   bool transferring_ = false;
-  std::map<std::uint64_t, std::vector<StateReply>> state_replies_;
+  /// A peer's newest state reply: its envelope body as it arrived, and the
+  /// digest the vote compares, taken once on arrival.
+  struct HeldStateReply {
+    Bytes body;  ///< an encoded StateReply
+    crypto::Digest digest{};
+  };
+  /// Peer replica id -> its newest reply. One per peer, so a peer that
+  /// answers with many cids replaces its reply instead of piling them up.
+  std::map<std::uint32_t, HeldStateReply> state_replies_;
   /// Peers confirming we are already up to date (ends a moot transfer).
   std::set<std::uint32_t> state_current_votes_;
 

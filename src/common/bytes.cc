@@ -58,7 +58,7 @@ std::uint16_t crc16(ByteView data) {
   return crc;
 }
 
-std::uint32_t crc32(ByteView data) {
+std::uint32_t crc32(ByteView data, std::uint32_t crc) {
   // Table generated once, on first use (256 * 4 bytes).
   static const auto kTable = [] {
     std::array<std::uint32_t, 256> table{};
@@ -71,7 +71,7 @@ std::uint32_t crc32(ByteView data) {
     }
     return table;
   }();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   for (std::uint8_t byte : data) {
     crc = kTable[(crc ^ byte) & 0xFF] ^ (crc >> 8);
   }

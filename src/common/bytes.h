@@ -36,7 +36,9 @@ std::uint16_t crc16(ByteView data);
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320 reflected, init/xorout
 /// 0xFFFFFFFF). Guards on-disk records (WAL entries, checkpoint files)
 /// against torn writes and bit rot: a record whose stored CRC does not match
-/// is treated as never written, not as an error to propagate.
-std::uint32_t crc32(ByteView data);
+/// is treated as never written, not as an error to propagate. Chains: with
+/// `crc` the CRC of the bytes before `data`, the result is the CRC of both,
+/// so a buffer kept in pieces is checked without joining them.
+std::uint32_t crc32(ByteView data, std::uint32_t crc = 0);
 
 }  // namespace ss

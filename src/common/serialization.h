@@ -110,6 +110,11 @@ class Pieces {
  public:
   /// `reserve` sizes the buffer for the owned bytes written first.
   explicit Pieces(std::size_t reserve = 0) : tail_(reserve) {}
+  // A copy's views would still point into the original's owned bytes.
+  Pieces(const Pieces&) = delete;
+  Pieces& operator=(const Pieces&) = delete;
+  Pieces(Pieces&&) = default;
+  Pieces& operator=(Pieces&&) = default;
 
   /// Appends owned bytes after every piece so far.
   Writer& writer() { return tail_; }
@@ -118,6 +123,25 @@ class Pieces {
     seal();
     size_ += bytes.size();
     views_.push_back(bytes);
+  }
+  /// Appends `bytes` after every piece so far, taking its buffer over.
+  void adopt(Bytes bytes) {
+    seal();
+    size_ += bytes.size();
+    owned_.push_back(std::move(bytes));
+    views_.push_back(owned_.back());
+  }
+  /// Appends every piece of `other` after every piece so far, taking over
+  /// its owned bytes (their buffers stay where they are, so no byte moves).
+  void append(Pieces&& other) {
+    seal();
+    other.seal();
+    for (Bytes& owned : other.owned_) owned_.push_back(std::move(owned));
+    views_.insert(views_.end(), other.views_.begin(), other.views_.end());
+    size_ += other.size_;
+    other.owned_.clear();
+    other.views_.clear();
+    other.size_ = 0;
   }
   std::size_t size() const { return size_ + tail_.size(); }
   /// Calls f(ByteView) on every piece in order.
@@ -192,9 +216,14 @@ class Reader {
   }
 
   Bytes blob() {
+    ByteView b = blob_view();
+    return Bytes(b.begin(), b.end());
+  }
+
+  /// A blob's bytes where they lie: valid as long as the buffer read from.
+  ByteView blob_view() {
     std::uint64_t n = length_prefix();
-    Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    ByteView b = data_.subspan(pos_, n);
     pos_ += n;
     return b;
   }

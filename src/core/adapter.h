@@ -84,6 +84,7 @@ class Adapter final : public bft::Executable, public bft::Recoverable {
 
   // --- bft::Recoverable -----------------------------------------------------
   Bytes snapshot() const override { return master_.snapshot(); }
+  Pieces state_pieces() const override { return master_.state_pieces(); }
   void restore(ByteView data) override;
   crypto::Digest state_digest() const override {
     return master_.state_digest();

@@ -4,7 +4,11 @@
 
 namespace ss::crypto {
 
-Digest hmac_sha256(ByteView key, ByteView message) {
+namespace {
+
+/// HMAC with the message fed to the inner hash by `feed(Sha256&)`.
+template <typename Feed>
+Digest hmac_with(ByteView key, Feed&& feed) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > block.size()) {
     Digest kd = Sha256::hash(key);
@@ -22,7 +26,7 @@ Digest hmac_sha256(ByteView key, ByteView message) {
 
   Sha256 inner;
   inner.update(ByteView(ipad));
-  inner.update(message);
+  feed(inner);
   Digest inner_digest = inner.finish();
 
   Sha256 outer;
@@ -31,7 +35,24 @@ Digest hmac_sha256(ByteView key, ByteView message) {
   return outer.finish();
 }
 
+}  // namespace
+
+Digest hmac_sha256(ByteView key, ByteView message) {
+  return hmac_with(key, [message](Sha256& h) { h.update(message); });
+}
+
+Digest hmac_sha256(ByteView key, const Pieces& message) {
+  return hmac_with(key, [&message](Sha256& h) {
+    message.for_each([&h](ByteView piece) { h.update(piece); });
+  });
+}
+
 bool hmac_verify(ByteView key, ByteView message, const Digest& mac) {
+  Digest expected = hmac_sha256(key, message);
+  return constant_time_equal(ByteView(expected), ByteView(mac));
+}
+
+bool hmac_verify(ByteView key, const Pieces& message, const Digest& mac) {
   Digest expected = hmac_sha256(key, message);
   return constant_time_equal(ByteView(expected), ByteView(mac));
 }

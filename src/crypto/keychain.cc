@@ -40,6 +40,11 @@ Digest Keychain::mac(const std::string& sender, const std::string& receiver,
   return hmac_sha256(session_key(sender, receiver, epoch), message);
 }
 
+Digest Keychain::mac(const std::string& sender, const std::string& receiver,
+                     std::uint32_t epoch, const Pieces& message) const {
+  return hmac_sha256(session_key(sender, receiver, epoch), message);
+}
+
 bool Keychain::verify(const std::string& sender, const std::string& receiver,
                       ByteView message, const Digest& mac_value) const {
   return hmac_verify(pair_key(sender, receiver), message, mac_value);
@@ -47,6 +52,12 @@ bool Keychain::verify(const std::string& sender, const std::string& receiver,
 
 bool Keychain::verify(const std::string& sender, const std::string& receiver,
                       std::uint32_t epoch, ByteView message,
+                      const Digest& mac_value) const {
+  return hmac_verify(session_key(sender, receiver, epoch), message, mac_value);
+}
+
+bool Keychain::verify(const std::string& sender, const std::string& receiver,
+                      std::uint32_t epoch, const Pieces& message,
                       const Digest& mac_value) const {
   return hmac_verify(session_key(sender, receiver, epoch), message, mac_value);
 }

@@ -44,11 +44,16 @@ class Keychain {
              ByteView message) const;
   Digest mac(const std::string& sender, const std::string& receiver,
              std::uint32_t epoch, ByteView message) const;
+  Digest mac(const std::string& sender, const std::string& receiver,
+             std::uint32_t epoch, const Pieces& message) const;
 
   bool verify(const std::string& sender, const std::string& receiver,
               ByteView message, const Digest& mac_value) const;
   bool verify(const std::string& sender, const std::string& receiver,
               std::uint32_t epoch, ByteView message,
+              const Digest& mac_value) const;
+  bool verify(const std::string& sender, const std::string& receiver,
+              std::uint32_t epoch, const Pieces& message,
               const Digest& mac_value) const;
 
  private:

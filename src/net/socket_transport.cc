@@ -43,6 +43,9 @@ constexpr int kSocketBufferBytes = 1 << 22;  // SO_RCVBUF and SO_SNDBUF
 constexpr std::size_t kMaxRecvFailures = 64;
 /// Address space reserved per RX ring slot: one whole UDP datagram.
 constexpr std::size_t kRxSlotBytes = 65536;
+/// No page size Linux uses is smaller, so a datagram longer than this has
+/// made more than one page of its slot resident.
+constexpr std::size_t kSmallestPageBytes = 4096;
 
 SimTime monotonic_ns() {
   timespec ts{};
@@ -104,6 +107,19 @@ struct SocketTransport::RxRing {
   std::size_t slots() const { return hdrs.size(); }
   std::size_t bytes() const { return slots() * kRxSlotBytes; }
   std::uint8_t* slot(std::size_t i) const { return slab + i * kRxSlotBytes; }
+
+  /// Once the datagram of `len` bytes in slot `i` has been handled, hands
+  /// the slot's pages back if it spanned more than one: the next datagram
+  /// there faults in only what it touches. A slot is a multiple of any page
+  /// size up to 64 KiB from a page-aligned start, so the whole slot is a
+  /// valid range without asking for the page size. MADV_DONTNEED, not
+  /// MADV_FREE: pages freed lazily still count as resident. Without this,
+  /// one state transfer's large datagrams stay resident in their slots for
+  /// the life of the process.
+  void release(std::size_t i, std::size_t len) const {
+    if (len <= kSmallestPageBytes) return;
+    ::madvise(slot(i), kRxSlotBytes, MADV_DONTNEED);
+  }
 
   /// msg_hdr fields (namelen in particular) are overwritten by the kernel on
   /// every call and must be reset before the next one.
@@ -362,7 +378,7 @@ void SocketTransport::handle_datagram(ByteView datagram) {
   std::uint64_t msg_id = 0;
   std::uint16_t frag_index = 0;
   std::uint16_t frag_count = 0;
-  Bytes fragment;
+  ByteView fragment;  // where it lies in the RX slot
   try {
     Reader r(datagram);
     if (r.u32() != kMagic) throw DecodeError("bad magic");
@@ -372,7 +388,7 @@ void SocketTransport::handle_datagram(ByteView datagram) {
     frag_count = r.u16();
     from = r.str();
     to = r.str();
-    fragment = r.blob();
+    fragment = r.blob_view();
     r.expect_done();
     if (frag_count == 0 || frag_index >= frag_count) {
       throw DecodeError("bad fragment header");
@@ -390,15 +406,15 @@ void SocketTransport::handle_datagram(ByteView datagram) {
 
   Bytes payload;
   if (frag_count == 1) {
-    payload = std::move(fragment);
+    payload.assign(fragment.begin(), fragment.end());
   } else {
     auto key = std::make_tuple(from, msg_id, to);
     Reassembly& rs = reassembly_[key];
-    if (rs.fragments.empty()) {
+    if (rs.count == 0) {
       rs.first_seen = now();
-      rs.fragments.resize(frag_count);
+      rs.count = frag_count;
     }
-    if (rs.fragments.size() != frag_count) {
+    if (rs.count != frag_count) {
       // Conflicting fragment header: the first-seen header stays
       // authoritative and only the conflicting datagram is dropped.
       // Erasing the whole reassembly here would let one spoofed datagram
@@ -406,7 +422,7 @@ void SocketTransport::handle_datagram(ByteView datagram) {
       ++stats_.decode_errors;
       return;
     }
-    if (!rs.fragments[frag_index].empty()) {
+    if (frag_index < rs.next || rs.early.count(frag_index) > 0) {
       // Duplicate fragment: keep the first copy.
       return;
     }
@@ -416,12 +432,26 @@ void SocketTransport::handle_datagram(ByteView datagram) {
       reassembly_.erase(key);
       return;
     }
-    rs.fragments[frag_index] = std::move(fragment);
-    if (++rs.received < frag_count) return;
-    payload.reserve(rs.bytes);
-    for (Bytes& piece : rs.fragments) {
-      payload.insert(payload.end(), piece.begin(), piece.end());
+    if (frag_index != rs.next) {
+      rs.early.emplace(frag_index, Bytes(fragment.begin(), fragment.end()));
+      return;
     }
+    if (rs.next == 0) {
+      // Every fragment but the last is as long as the first, so this is
+      // room for the whole message: appending never reallocates.
+      rs.payload.reserve(std::min<std::size_t>(
+          std::size_t{rs.count} * fragment.size(), kMaxMessage));
+    }
+    rs.payload.insert(rs.payload.end(), fragment.begin(), fragment.end());
+    ++rs.next;
+    for (auto it = rs.early.begin();
+         it != rs.early.end() && it->first == rs.next;
+         it = rs.early.erase(it)) {
+      rs.payload.insert(rs.payload.end(), it->second.begin(), it->second.end());
+      ++rs.next;
+    }
+    if (rs.next < rs.count) return;
+    payload = std::move(rs.payload);
     reassembly_.erase(key);
   }
 
@@ -480,6 +510,7 @@ void SocketTransport::read_socket_single(const std::string& name, int fd) {
     ++stats_.datagrams_received;
     stats_.bytes_received += static_cast<std::uint64_t>(n);
     handle_datagram(ByteView(rx_ring_->slot(0), static_cast<std::size_t>(n)));
+    rx_ring_->release(0, static_cast<std::size_t>(n));
   }
 }
 
@@ -517,6 +548,7 @@ void SocketTransport::read_socket_batched(const std::string& name, int fd) {
       ++stats_.datagrams_received;
       stats_.bytes_received += len;
       handle_datagram(ByteView(ring.slot(i), len));
+      ring.release(static_cast<std::size_t>(i), len);
     }
     if (static_cast<std::size_t>(n) < ring.slots()) return;  // drained
     // The whole ring filled — more datagrams are likely queued; go again

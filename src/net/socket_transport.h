@@ -147,11 +147,16 @@ class SocketTransport final : public Transport {
     SocketAddress dest;
     Bytes bytes;
   };
+  /// A multi-fragment message in the making. Fragments that arrive in
+  /// order are copied straight to their place at the end of `payload`; one
+  /// that arrives past a gap waits in `early` until the gap closes.
   struct Reassembly {
     SimTime first_seen = 0;
-    std::size_t received = 0;
-    std::size_t bytes = 0;
-    std::vector<Bytes> fragments;
+    std::uint16_t count = 0;  ///< fragments, as the first one seen says
+    std::uint16_t next = 0;   ///< fragments [0, next) are in `payload`
+    std::size_t bytes = 0;    ///< fragment bytes received so far
+    Bytes payload;
+    std::map<std::uint16_t, Bytes> early;
   };
 
   struct RxRing;  // mmap'd recvmmsg slab (defined in the .cc)

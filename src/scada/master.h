@@ -117,12 +117,12 @@ class ScadaMaster {
   /// Sha256::hash(snapshot()), computed without materialising the snapshot:
   /// the event log and the historian's samples are hashed where they lie.
   crypto::Digest state_digest() const;
-
- private:
   /// The snapshot as pieces: the encoded items through the storage header
   /// and event templates, then views of the event log's records and of the
-  /// historian's sample logs.
+  /// historian's sample logs (valid until the state next changes).
   Pieces state_pieces() const;
+
+ private:
 
   struct PendingWrite {
     ItemId item;

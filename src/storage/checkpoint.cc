@@ -61,11 +61,18 @@ std::optional<Checkpoint> CheckpointStore::parse_current() const {
     Checkpoint out;
     out.cid = r.id<ConsensusId>();
     out.last_timestamp = r.i64();
-    Bytes digest = r.blob();
+    ByteView digest = r.blob_view();
     if (digest.size() != out.app_digest.size()) return std::nullopt;
     std::copy(digest.begin(), digest.end(), out.app_digest.begin());
-    out.full_snapshot = r.blob();
+    ByteView snapshot = r.blob_view();
     r.expect_done();
+    // The snapshot keeps the file's buffer: shift it to the front in place
+    // and cut the header and CRC off, rather than copy it out.
+    const std::ptrdiff_t offset = snapshot.data() - data->data();
+    const std::size_t size = snapshot.size();
+    data->erase(data->begin(), data->begin() + offset);
+    data->resize(size);
+    out.full_snapshot = std::move(*data);
     return out;
   } catch (const DecodeError&) {
     SS_LOG(LogLevel::kWarn, 0, path_.c_str(),
@@ -74,19 +81,28 @@ std::optional<Checkpoint> CheckpointStore::parse_current() const {
   }
 }
 
-void CheckpointStore::write(const Checkpoint& checkpoint) {
-  Writer w(checkpoint.full_snapshot.size() + 64);
-  w.u32(kMagic);
-  w.id(checkpoint.cid);
-  w.i64(checkpoint.last_timestamp);
-  w.blob(ByteView(checkpoint.app_digest.data(), checkpoint.app_digest.size()));
-  w.blob(checkpoint.full_snapshot);
-  std::uint32_t crc = crc32(w.bytes());
-  w.u32(crc);
+void CheckpointStore::write(const CheckpointMeta& meta, Pieces full_snapshot) {
+  Pieces file(64);
+  Writer& header = file.writer();
+  header.u32(kMagic);
+  header.id(meta.cid);
+  header.i64(meta.last_timestamp);
+  header.blob(ByteView(meta.app_digest.data(), meta.app_digest.size()));
+  header.varint(full_snapshot.size());  // the snapshot's blob length prefix
+  file.append(std::move(full_snapshot));
+  std::uint32_t crc = 0;
+  file.for_each([&crc](ByteView piece) { crc = crc32(piece, crc); });
+  file.writer().u32(crc);
 
-  env_.write_file(tmp_path_, w.bytes());   // data durable under the tmp name
-  env_.rename_file(tmp_path_, path_);      // atomic swap
-  env_.sync_dir(dir_);                     // the new name is durable too
+  env_.write_file(tmp_path_, file);   // data durable under the tmp name
+  env_.rename_file(tmp_path_, path_);  // atomic swap
+  env_.sync_dir(dir_);                 // the new name is durable too
+}
+
+void CheckpointStore::write(const Checkpoint& checkpoint) {
+  Pieces snapshot;
+  snapshot.view(checkpoint.full_snapshot);
+  write(checkpoint, std::move(snapshot));
 }
 
 }  // namespace ss::storage

@@ -17,6 +17,13 @@
 // self-consistent because the WAL is only truncated after step 3. The file
 // carries a trailing CRC-32 so a torn step-1 write that somehow got renamed
 // (or plain bit rot) reads as "no checkpoint", never as corrupt state.
+//
+// File layout: u32 magic, varint cid, i64 timestamp, blob app digest, blob
+// full snapshot, u32 CRC-32 of everything before it. The snapshot is written
+// from its pieces where they lie (the event log's and the historian's
+// blocks among them) and the CRC is chained over them, so a checkpoint never
+// joins the state into one buffer; loading takes the file buffer over as
+// the snapshot instead of copying it out.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +37,15 @@
 
 namespace ss::storage {
 
-struct Checkpoint {
+/// What a checkpoint records besides the snapshot itself.
+struct CheckpointMeta {
   ConsensusId cid{0};           ///< state is valid as of this decided instance
   SimTime last_timestamp = 0;   ///< deterministic timestamp at that frontier
   crypto::Digest app_digest{};  ///< Sha256 of the application snapshot
-  Bytes full_snapshot;          ///< Replica::encode_full_snapshot payload
+};
+
+struct Checkpoint : CheckpointMeta {
+  Bytes full_snapshot;  ///< Replica::full_snapshot_pieces payload
 };
 
 class CheckpointStore {
@@ -53,7 +64,10 @@ class CheckpointStore {
   /// examine.
   std::optional<Checkpoint> load_read_only() const;
 
-  /// Durably replaces the checkpoint (tmp + rename + dir fsync, see above).
+  /// Durably replaces the checkpoint (tmp + rename + dir fsync, see above)
+  /// with one whose snapshot is `full_snapshot`'s pieces, in order.
+  void write(const CheckpointMeta& meta, Pieces full_snapshot);
+  /// The same, for a snapshot held in one buffer.
   void write(const Checkpoint& checkpoint);
 
   const std::string& path() const { return path_; }

@@ -1,11 +1,15 @@
 #include "storage/env.h"
 
 #include <fcntl.h>
+#include <limits.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <stdexcept>
+#include <vector>
 
 #include "common/file.h"
 
@@ -36,6 +40,37 @@ class PosixAppendFile final : public AppendFile {
     if (::fsync(fd_) != 0) throw_errno("fsync", path_);
   }
 
+  /// Writes every piece, in order: writev(2) over up to IOV_MAX pieces at a
+  /// time, resuming mid-piece after a short write.
+  void append_pieces(const Pieces& data) {
+    std::vector<iovec> iov;
+    data.for_each([&iov](ByteView piece) {
+      if (piece.empty()) return;
+      iov.push_back(iovec{const_cast<std::uint8_t*>(piece.data()),
+                          piece.size()});
+    });
+    std::size_t first = 0;
+    while (first < iov.size()) {
+      const int count =
+          static_cast<int>(std::min<std::size_t>(iov.size() - first, IOV_MAX));
+      ssize_t n = ::writev(fd_, iov.data() + first, count);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw_errno("writev", path_);
+      }
+      auto done = static_cast<std::size_t>(n);
+      while (first < iov.size() && done >= iov[first].iov_len) {
+        done -= iov[first].iov_len;
+        ++first;
+      }
+      if (done > 0) {
+        auto* base = static_cast<std::uint8_t*>(iov[first].iov_base);
+        iov[first].iov_base = base + done;
+        iov[first].iov_len -= done;
+      }
+    }
+  }
+
  private:
   int fd_;
   std::string path_;
@@ -54,6 +89,14 @@ void PosixEnv::write_file(const std::string& path, ByteView data) {
   file.append(data);
   file.sync();
   // file's destructor closes fd (it took ownership).
+}
+
+void PosixEnv::write_file(const std::string& path, const Pieces& data) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) throw_errno("open", path);
+  PosixAppendFile file(fd, path);
+  file.append_pieces(data);
+  file.sync();
 }
 
 std::unique_ptr<AppendFile> PosixEnv::open_append(const std::string& path) {
@@ -142,6 +185,20 @@ std::optional<Bytes> MemEnv::read_file(const std::string& path) const {
 void MemEnv::write_file(const std::string& path, ByteView data) {
   FileState& file = files_[path];
   file.data.assign(data.begin(), data.end());
+  file.synced_size = file.data.size();
+  note_sync(path);
+}
+
+void MemEnv::write_file(const std::string& path, const Pieces& data) {
+  FileState& file = files_[path];
+  // A fresh buffer of the exact size: assigning into the old one would
+  // keep its capacity when the file shrinks.
+  Bytes bytes;
+  bytes.reserve(data.size());
+  data.for_each([&bytes](ByteView piece) {
+    bytes.insert(bytes.end(), piece.begin(), piece.end());
+  });
+  file.data = std::move(bytes);
   file.synced_size = file.data.size();
   note_sync(path);
 }

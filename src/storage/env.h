@@ -23,6 +23,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "common/serialization.h"
 
 namespace ss::storage {
 
@@ -46,6 +47,8 @@ class Env {
   /// caller is responsible for the containing-directory fsync (see
   /// sync_dir) when the file's *existence* must be durable.
   virtual void write_file(const std::string& path, ByteView data) = 0;
+  /// write_file of the pieces' bytes, in order, without joining them first.
+  virtual void write_file(const std::string& path, const Pieces& data) = 0;
 
   /// Opens `path` for appending, creating it when missing.
   virtual std::unique_ptr<AppendFile> open_append(const std::string& path) = 0;
@@ -71,6 +74,9 @@ class PosixEnv final : public Env {
  public:
   std::optional<Bytes> read_file(const std::string& path) const override;
   void write_file(const std::string& path, ByteView data) override;
+  /// Gathers the pieces into writev(2) calls: one syscall per IOV_MAX
+  /// pieces, not one write per piece.
+  void write_file(const std::string& path, const Pieces& data) override;
   std::unique_ptr<AppendFile> open_append(const std::string& path) override;
   void rename_file(const std::string& from, const std::string& to) override;
   void sync_dir(const std::string& dir) override;
@@ -85,6 +91,7 @@ class MemEnv final : public Env {
  public:
   std::optional<Bytes> read_file(const std::string& path) const override;
   void write_file(const std::string& path, ByteView data) override;
+  void write_file(const std::string& path, const Pieces& data) override;
   std::unique_ptr<AppendFile> open_append(const std::string& path) override;
   void rename_file(const std::string& from, const std::string& to) override;
   void sync_dir(const std::string& dir) override { (void)dir; }

@@ -59,12 +59,13 @@ void ReplicaStorage::append_decision(ConsensusId cid, ByteView batch) {
   ++stats_.decisions_logged;
 }
 
-void ReplicaStorage::write_checkpoint(const Checkpoint& checkpoint) {
-  checkpoints_.write(checkpoint);
+void ReplicaStorage::write_checkpoint(const CheckpointMeta& meta,
+                                      Pieces full_snapshot) {
+  checkpoints_.write(meta, std::move(full_snapshot));
   // Only after the checkpoint's rename is durable may the WAL prefix it
   // covers disappear; the reverse order could lose decisions on a crash.
   std::uint64_t truncations_before = wal_.stats().truncations;
-  wal_.truncate_through(checkpoint.cid.value);
+  wal_.truncate_through(meta.cid.value);
   ++stats_.checkpoints_written;
   if (wal_.stats().truncations != truncations_before) {
     ++obs::Registry::instance().counter("storage.wal_truncations");

@@ -44,15 +44,19 @@ class ReplicaStorage {
   /// Newest valid checkpoint, or nullopt for a fresh (or wiped) replica.
   std::optional<Checkpoint> load_checkpoint() { return checkpoints_.load(); }
 
-  /// WAL records that survived the open-time scan, in append order.
-  const std::vector<Wal::Record>& wal_records() const { return wal_.records(); }
+  /// The WAL records recovery replays, in append order: the first call
+  /// hands over those the open-time scan found (see Wal::take_recovered).
+  std::vector<Wal::Record> take_wal_records() { return wal_.take_recovered(); }
+  /// The intact WAL records on disk now, read back from the file.
+  std::vector<Wal::Record> wal_records() const { return wal_.records(); }
 
   /// Durably logs a decided batch. Returns only once the record is synced;
   /// the fsync latency lands in the storage.fsync_ns histogram.
   void append_decision(ConsensusId cid, ByteView batch);
 
-  /// Durably replaces the checkpoint, then drops the WAL prefix it covers.
-  void write_checkpoint(const Checkpoint& checkpoint);
+  /// Durably replaces the checkpoint, written from the snapshot's pieces,
+  /// then drops the WAL prefix it covers.
+  void write_checkpoint(const CheckpointMeta& meta, Pieces full_snapshot);
 
   /// Records a completed crash recovery (for the recoveries counter and the
   /// storage.recovery_ns histogram).

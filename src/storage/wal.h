@@ -16,10 +16,15 @@
 // a checkpoint already covers by rewriting the suffix to wal.tmp and
 // renaming it into place (with a directory fsync), so a crash at any point
 // leaves either the old or the new log, never a spliced one.
+//
+// The log lives on disk only. The records found at open are held until
+// recovery takes them; after that the Wal keeps no record in memory, and a
+// truncation reads the file back to find the suffix's byte offset.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,8 +51,15 @@ class Wal {
   /// torn tail in place so the next append lands on a clean boundary.
   Wal(Env& env, std::string dir);
 
-  /// The intact records recovered at open time, in seq order as written.
-  const std::vector<Record>& records() const { return records_; }
+  /// The intact records, in the order written. While the log is as the
+  /// open-time scan found it, hands over the records that scan kept (they
+  /// are held only until this call or the first append or truncation);
+  /// later — a replica rebooted in place, with this Wal still open — reads
+  /// the file back instead.
+  std::vector<Record> take_recovered();
+
+  /// The intact records on disk now, read back from the file.
+  std::vector<Record> records() const;
 
   /// Appends one record and fsyncs. The record is durable when this returns.
   void append(std::uint64_t seq, ByteView payload);
@@ -60,15 +72,30 @@ class Wal {
   const std::string& path() const { return path_; }
 
  private:
+  /// One intact record where it lies in the file's bytes; `end` is the
+  /// offset just past it.
+  struct Located {
+    std::uint64_t seq = 0;
+    ByteView payload;
+    std::size_t end = 0;
+  };
+  /// The record at byte `pos` of `data`, or nullopt at the end of the data
+  /// or where the record is torn or fails its CRC.
+  static std::optional<Located> record_at(ByteView data, std::size_t pos);
+  /// Appends `data`'s intact records to `out`; returns where they end.
+  static std::size_t collect(ByteView data, std::vector<Record>& out);
   static Bytes encode_record(std::uint64_t seq, ByteView payload);
   void scan_and_repair();
+  /// Frees the records found at open: the log has moved on from them.
+  void drop_recovered();
 
   Env& env_;
   std::string dir_;
   std::string path_;
   std::unique_ptr<AppendFile> file_;
-  std::vector<Record> records_;  // mirror of the on-disk log (bounded by the
-                                 // checkpoint interval via truncate_through)
+  /// Found at open; held while `recovered_current_`.
+  std::vector<Record> recovered_;
+  bool recovered_current_ = true;
   WalStats stats_;
 };
 

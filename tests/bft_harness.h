@@ -74,6 +74,21 @@ class KvApp final : public Executable, public Recoverable {
     return std::move(w).take();
   }
 
+  /// snapshot()'s bytes with every value viewed where it lies, as a large
+  /// application's state would be.
+  Pieces state_pieces() const override {
+    Pieces out;
+    out.writer().varint(applied_);
+    out.writer().varint(data_.size());
+    for (const auto& [key, value] : data_) {
+      out.writer().str(key);
+      out.writer().varint(value.size());
+      out.view(ByteView(reinterpret_cast<const std::uint8_t*>(value.data()),
+                        value.size()));
+    }
+    return out;
+  }
+
   void restore(ByteView snapshot) override {
     Reader r(snapshot);
     applied_ = r.varint();

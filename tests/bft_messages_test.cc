@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bft/messages.h"
+#include "crypto/keychain.h"
 
 namespace ss::bft {
 namespace {
@@ -209,6 +210,86 @@ TEST(BftMessages, StateTransferRoundTripAndDigest) {
   EXPECT_EQ(other.digest(), rep.digest());
   other.snapshot[0] ^= 1;
   EXPECT_NE(other.digest(), rep.digest());
+}
+
+TEST(BftMessages, StateReplyBytesAndDigestArePinned) {
+  const Bytes snapshot{9, 9};
+  Pieces pieces;
+  pieces.view(snapshot);
+  const Bytes wire =
+      encode_state_reply(ReplicaId{1}, ConsensusId{20}, millis(5), pieces);
+  // replica 1, cid 20, timestamp 5 ms (LE i64), then the snapshot blob.
+  EXPECT_EQ(to_hex(wire), "0114404b4c0000000000020909");
+  EXPECT_EQ(wire.capacity(), wire.size());  // encoded once, at exact size
+
+  StateReply rep;
+  rep.replica = ReplicaId{1};
+  rep.cid = ConsensusId{20};
+  rep.last_timestamp = millis(5);
+  rep.snapshot = snapshot;
+  EXPECT_EQ(rep.encode(), wire);
+  // The pieces' split does not show in the bytes.
+  Pieces split;
+  split.writer().u8(9);
+  split.view(ByteView(snapshot).subspan(1));
+  EXPECT_EQ(encode_state_reply(ReplicaId{1}, ConsensusId{20}, millis(5), split),
+            wire);
+
+  // Sha256 over (cid, timestamp, snapshot blob), hashed where it lies.
+  StateReplyView view = StateReplyView::decode(wire);
+  EXPECT_EQ(view.replica, ReplicaId{1});
+  EXPECT_EQ(view.cid, ConsensusId{20});
+  EXPECT_EQ(view.last_timestamp, millis(5));
+  EXPECT_EQ(view.snapshot.data(), wire.data() + 11);
+  EXPECT_EQ(crypto::to_hex(view.digest()),
+            "8b454a010e3241510dc02e69bf1c87baf01853338b3d66f0d4a37c5268ff71cb");
+  EXPECT_EQ(view.digest(), rep.digest());
+  EXPECT_EQ(StateReply::decode(wire).digest(), view.digest());
+
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_THROW(StateReplyView::decode(trailing), DecodeError);
+}
+
+TEST(BftMessages, EnvelopeDecodedByMoveKeepsTheBufferAsBody) {
+  Envelope env;
+  env.type = MsgType::kStateReply;
+  env.sender = "replica/3";
+  env.epoch = 2;
+  env.body = Bytes(5000, 0x42);
+  env.mac[5] = 0x33;
+  Bytes wire = env.encode();
+  const Envelope copied = Envelope::decode(ByteView(wire));
+  const std::uint8_t* buffer = wire.data();
+  const Envelope moved = Envelope::decode(std::move(wire));
+  EXPECT_EQ(moved.body.data(), buffer);
+  EXPECT_EQ(moved.body, env.body);
+  EXPECT_EQ(moved.type, copied.type);
+  EXPECT_EQ(moved.sender, copied.sender);
+  EXPECT_EQ(moved.epoch, copied.epoch);
+  EXPECT_EQ(moved.mac, copied.mac);
+
+  Bytes trailing = env.encode();
+  trailing.push_back(0);
+  EXPECT_THROW(Envelope::decode(std::move(trailing)), DecodeError);
+}
+
+TEST(BftMessages, MacPiecesAreTheMacMaterial) {
+  const Bytes body(3000, 0x17);
+  Pieces pieces =
+      envelope_mac_pieces(MsgType::kWrite, "replica/1", "replica/2", 4, body);
+  Writer joined;
+  pieces.write_to(joined);
+  EXPECT_EQ(joined.bytes(),
+            envelope_mac_material(MsgType::kWrite, "replica/1", "replica/2", 4,
+                                  body));
+  crypto::Keychain keys("pieces");
+  const Bytes material = joined.bytes();
+  EXPECT_EQ(keys.mac("replica/1", "replica/2", 4, pieces),
+            keys.mac("replica/1", "replica/2", 4, ByteView(material)));
+  EXPECT_TRUE(keys.verify("replica/1", "replica/2", 4, pieces,
+                          keys.mac("replica/1", "replica/2", 4,
+                                   ByteView(material))));
 }
 
 TEST(BftMessages, ReplyAndPushRoundTrip) {

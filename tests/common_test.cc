@@ -127,6 +127,64 @@ TEST(Serialization, BlobLengthBeyondBufferThrows) {
   EXPECT_THROW(r.blob(), DecodeError);
 }
 
+TEST(Serialization, BlobViewReadsInPlace) {
+  Writer w;
+  w.blob(Bytes{9, 8, 7});
+  w.u8(1);
+  Reader r(w.bytes());
+  ByteView blob = r.blob_view();
+  EXPECT_EQ(blob.data(), w.bytes().data() + 1);  // no copy
+  EXPECT_EQ(Bytes(blob.begin(), blob.end()), (Bytes{9, 8, 7}));
+  EXPECT_EQ(r.u8(), 1);
+  Writer lying;
+  lying.varint(1000);
+  Reader bad(lying.bytes());
+  EXPECT_THROW(bad.blob_view(), DecodeError);
+}
+
+/// Pieces' bytes joined, in order.
+Bytes joined(const Pieces& pieces) {
+  Writer w;
+  pieces.write_to(w);
+  return std::move(w).take();
+}
+
+TEST(Pieces, AppendKeepsOrderAndTakesOwnedBytesOver) {
+  const Bytes lying = {0xa1, 0xa2};  // a view's bytes stay where they lie
+  Pieces tail(8);
+  tail.writer().u8(3);
+  tail.view(lying);
+  tail.writer().u8(4);
+  const std::uint8_t* owned_before = nullptr;
+  tail.for_each([&](ByteView piece) {
+    if (piece.size() == 1 && piece[0] == 3) owned_before = piece.data();
+  });
+
+  Pieces head;
+  head.writer().u8(1);
+  head.adopt(Bytes{2});
+  head.append(std::move(tail));
+  head.writer().u8(5);
+
+  EXPECT_EQ(joined(head), (Bytes{1, 2, 3, 0xa1, 0xa2, 4, 5}));
+  EXPECT_EQ(head.size(), 7u);
+  // The appended owned bytes did not move, and the view still points at
+  // the original buffer.
+  bool owned_kept = false;
+  bool view_kept = false;
+  head.for_each([&](ByteView piece) {
+    owned_kept |= piece.data() == owned_before;
+    view_kept |= piece.data() == lying.data();
+  });
+  EXPECT_TRUE(owned_kept);
+  EXPECT_TRUE(view_kept);
+  EXPECT_EQ(tail.size(), 0u);  // NOLINT(bugprone-use-after-move)
+
+  Pieces empty;
+  head.append(std::move(empty));
+  EXPECT_EQ(joined(head), (Bytes{1, 2, 3, 0xa1, 0xa2, 4, 5}));
+}
+
 TEST(StrongIds, ComparisonAndHash) {
   ItemId a{1}, b{2}, c{1};
   EXPECT_EQ(a, c);

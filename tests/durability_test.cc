@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bft/messages.h"
+#include "heap_usage.h"
 #include "storage/env.h"
 #include "storage/replica_storage.h"
 #include "storage/wal.h"
@@ -297,6 +298,110 @@ TEST(Durability, RestartDuringViewChangeAdoptsNewRegency) {
     EXPECT_EQ(*cluster.replicas[i]->last_checkpoint_digest(),
               *cluster.replicas[1]->last_checkpoint_digest());
   }
+}
+
+TEST(StateTransfer, ApplicationPiecesAreItsSnapshot) {
+  KvApp app;
+  ExecuteContext ctx;
+  app.execute_ordered(ctx, KvApp::put("a", std::string(5000, 'x')));
+  app.execute_ordered(ctx, KvApp::put("b", ""));
+  Writer joined;
+  app.state_pieces().write_to(joined);
+  EXPECT_EQ(joined.bytes(), app.snapshot());
+}
+
+// A Byzantine peer answers a StateRequest with replies for 100 invented
+// cids. The requester holds one reply per peer, the newest, and still
+// completes the transfer from the f+1 correct replies.
+TEST(StateTransfer, SprayedCidsHoldOneReplyPerPeer) {
+  Cluster cluster(1);
+  auto client = cluster.make_client(1);
+  bool done = false;
+  client->invoke_ordered(KvApp::put("pre", "x"), [&](Bytes) { done = true; });
+  cluster.run_for(millis(300));
+  ASSERT_TRUE(done);
+  cluster.replicas[3]->crash();
+  for (int i = 0; i < 3; ++i) {
+    done = false;
+    client->invoke_ordered(KvApp::put("k" + std::to_string(i), "v"),
+                           [&](Bytes) { done = true; });
+    cluster.run_for(millis(300));
+    ASSERT_TRUE(done);
+  }
+  const std::uint64_t frontier = cluster.replicas[0]->last_decided().value;
+
+  // Replica 2 turns Byzantine: silent toward the protocol, while "it"
+  // sprays state replies carrying invented cids and snapshots.
+  cluster.replicas[2]->set_byzantine(ByzantineMode::kSilent);
+  cluster.replicas[3]->recover();
+  for (std::uint64_t k = 1; k <= 100; ++k) {
+    StateReply fake;
+    fake.replica = ReplicaId{2};
+    fake.cid = ConsensusId{frontier + k};
+    fake.snapshot = Bytes(4096, static_cast<std::uint8_t>(k));
+    Envelope env;
+    env.type = MsgType::kStateReply;
+    env.sender = "replica/2";
+    env.body = fake.encode();
+    env.mac = cluster.keys.mac(
+        "replica/2", "replica/3", 0,
+        envelope_mac_material(env.type, env.sender, "replica/3", 0, env.body));
+    cluster.net.send("replica/2", "replica/3", env.encode());
+  }
+  // The spray lands one hop after the StateRequest leaves; the correct
+  // replies need two.
+  cluster.run_for(micros(75));
+  EXPECT_EQ(cluster.replicas[3]->held_state_replies(), 1u);
+  EXPECT_EQ(cluster.replicas[3]->stats().state_transfers, 0u);
+
+  cluster.run_for(millis(200));
+  EXPECT_EQ(cluster.replicas[3]->stats().state_transfers, 1u);
+  EXPECT_EQ(cluster.replicas[3]->last_decided().value, frontier);
+  EXPECT_EQ(cluster.replicas[3]->held_state_replies(), 0u);
+  EXPECT_EQ(cluster.apps[3]->data(), cluster.apps[0]->data());
+}
+
+// A replica reincarnated behind a state of over 1 MB holds that state at
+// most about three times over while the transfer lands and its checkpoint
+// is written: the state it restored, the checkpoint file (the in-memory
+// "disk"), and the third correct reply still queued behind the quorum.
+TEST(StateTransferFootprint, ReincarnationBehindAMegabyteHoldsTheStateThrice) {
+  SS_REQUIRE_HEAP_USAGE();
+  ReplicaOptions options;
+  options.checkpoint_interval = 4;
+  DurableCluster cluster(1, options);
+  auto client = cluster.make_client(1);
+  cluster.put_round(*client, "warm", "x");
+  cluster.kill(2);
+  for (int i = 0; i < 20; ++i) {
+    cluster.put_round(*client, "k" + std::to_string(i),
+                      std::string(64 * 1024, static_cast<char>('a' + i)));
+  }
+  const std::size_t snapshot = cluster.replicas[0]->full_snapshot().size();
+  ASSERT_GE(snapshot, std::size_t{1} << 20);
+
+  // The heap is sampled whenever replica 2 syncs a file: the checkpoint
+  // written right after the transfer applies is one of those moments.
+  std::size_t peak = 0;
+  cluster.env.set_sync_observer([&](const std::string& path) {
+    if (path.rfind(cluster.dir(2) + "/", 0) == 0) {
+      peak = std::max(peak, test::heap_in_use());
+    }
+  });
+  const std::size_t before = test::heap_in_use();
+  cluster.restart(2);
+  cluster.run_for(millis(500));
+  cluster.env.set_sync_observer(nullptr);
+
+  ASSERT_EQ(cluster.replicas[2]->stats().state_transfers, 1u);
+  ASSERT_EQ(cluster.replicas[2]->last_checkpoint_cid(),
+            cluster.replicas[0]->last_decided());
+  ASSERT_GT(peak, before);
+  const double ratio =
+      static_cast<double>(peak - before) / static_cast<double>(snapshot);
+  EXPECT_LE(ratio, 3.3) << (peak - before) << " heap bytes over a "
+                        << snapshot << "-byte snapshot";
+  EXPECT_TRUE(cluster.apps_converged());
 }
 
 }  // namespace

@@ -6,13 +6,16 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/serialization.h"
 #include "obs/metrics.h"
 #include "storage/checkpoint.h"
 #include "storage/env.h"
 #include "storage/replica_storage.h"
 #include "storage/wal.h"
+#include "heap_usage.h"
 
 namespace ss::storage {
 namespace {
@@ -26,6 +29,18 @@ TEST(Crc32, MatchesTheIeeeCheckValue) {
   EXPECT_EQ(crc32(bytes_of("123456789")), 0xCBF43926u);
   EXPECT_EQ(crc32(ByteView{}), 0x00000000u);
   EXPECT_NE(crc32(bytes_of("abc")), crc32(bytes_of("abd")));
+}
+
+TEST(Crc32, ChainsAcrossPieces) {
+  // The CRC of a buffer equals the CRC chained over any split of it, so a
+  // checkpoint written in pieces carries the CRC of the joined file.
+  const Bytes whole = bytes_of("123456789");
+  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
+    ByteView head(whole.data(), cut);
+    ByteView tail(whole.data() + cut, whole.size() - cut);
+    EXPECT_EQ(crc32(tail, crc32(head)), 0xCBF43926u) << "cut at " << cut;
+  }
+  EXPECT_EQ(crc32(ByteView{}, 0xCBF43926u), 0xCBF43926u);
 }
 
 // --- MemEnv crash model ----------------------------------------------------
@@ -172,6 +187,45 @@ TEST(Wal, TruncateThroughIsANoOpBelowTheFirstRecord) {
   EXPECT_EQ(wal.stats().truncations, 0u);
 }
 
+TEST(Wal, RecoveredRecordsAreHandedOverOnceThenReadFromDisk) {
+  MemEnv env;
+  {
+    Wal wal(env, "d");
+    wal.append(1, payload_of("one"));
+    wal.append(2, payload_of("two"));
+  }
+  Wal reopened(env, "d");
+  std::vector<Wal::Record> taken = reopened.take_recovered();
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[1].payload, payload_of("two"));
+  // A replica rebooted in place recovers again with the Wal still open: it
+  // gets what the disk holds now, appends since the open included.
+  reopened.append(3, payload_of("three"));
+  reopened.truncate_through(1);
+  std::vector<Wal::Record> again = reopened.take_recovered();
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(again[0].seq, 2u);
+  EXPECT_EQ(again[1].payload, payload_of("three"));
+}
+
+TEST(WalFootprint, AppendsKeepNoRecordInMemory) {
+  // The log lives in the file only: 20 000 appends without a truncation
+  // leave nothing on the heap but the (in-memory) file's own buffer.
+  SS_REQUIRE_HEAP_USAGE();
+  constexpr std::uint64_t kAppends = 20000;
+  const Bytes payload(64, 0x5a);
+  MemEnv env;
+  Wal wal(env, "d");
+  const std::size_t before = test::heap_in_use();
+  const std::size_t file_before = env.raw("d/wal")->capacity();
+  for (std::uint64_t seq = 1; seq <= kAppends; ++seq) wal.append(seq, payload);
+  const std::size_t file_growth = env.raw("d/wal")->capacity() - file_before;
+  const std::size_t used = test::heap_in_use() - before;
+  EXPECT_LE(used, file_growth + 64 * 1024)
+      << (used - file_growth) / kAppends << " bytes per record beyond the file";
+  EXPECT_EQ(wal.stats().appends, kAppends);
+}
+
 // --- checkpoints -----------------------------------------------------------
 
 Checkpoint sample_checkpoint() {
@@ -236,6 +290,79 @@ TEST(CheckpointStore, ReadOnlyLoadIgnoresButKeepsStaleTmp) {
   EXPECT_TRUE(env.file_exists("d/snapshot.tmp"));
 }
 
+/// The checkpoint file of `ckpt` in the format's own terms (magic, cid,
+/// timestamp, digest blob, snapshot blob, CRC of all of it), encoded in
+/// one buffer as checkpoints were before they were written in pieces.
+Bytes checkpoint_file_bytes(const Checkpoint& ckpt) {
+  Writer w;
+  w.u32(0x53435031);  // "SCP1"
+  w.id(ckpt.cid);
+  w.i64(ckpt.last_timestamp);
+  w.blob(ByteView(ckpt.app_digest.data(), ckpt.app_digest.size()));
+  w.blob(ckpt.full_snapshot);
+  const std::uint32_t crc = crc32(w.bytes());
+  w.u32(crc);
+  return std::move(w).take();
+}
+
+TEST(CheckpointStore, PiecesWriteTheSameBytesAsOneBuffer) {
+  Checkpoint ckpt = sample_checkpoint();
+  Bytes block(3000);
+  for (std::size_t k = 0; k < block.size(); ++k) {
+    block[k] = static_cast<std::uint8_t>(k * 7 + 1);
+  }
+  // Owned bytes, a view, owned bytes again, an empty view: the layout a
+  // replica's snapshot has (encoded fields around views of logged blocks).
+  Pieces pieces;
+  pieces.writer().str("header");
+  pieces.view(block);
+  pieces.writer().varint(300);
+  pieces.view(ByteView{});
+  Writer joined;
+  pieces.write_to(joined);
+  ckpt.full_snapshot = joined.bytes();
+
+  MemEnv env;
+  CheckpointStore store(env, "d");
+  store.write(ckpt, std::move(pieces));
+  const Bytes from_pieces = *env.raw("d/snapshot");
+  EXPECT_EQ(from_pieces, checkpoint_file_bytes(ckpt));
+  store.write(ckpt);
+  EXPECT_EQ(*env.raw("d/snapshot"), from_pieces);
+
+  std::optional<Checkpoint> loaded = store.load();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->cid.value, 42u);
+  EXPECT_EQ(loaded->last_timestamp, 123456);
+  EXPECT_EQ(loaded->app_digest, ckpt.app_digest);
+  EXPECT_EQ(loaded->full_snapshot, ckpt.full_snapshot);
+}
+
+TEST(PosixEnv, PiecesBeyondOneWritevCallLandInOrder) {
+  // More pieces than one writev(2) call takes (IOV_MAX is 1024 on Linux).
+  char tmpl[] = "/tmp/ss_storage_pieces_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string path = std::string(tmpl) + "/f";
+  std::vector<Bytes> blocks;
+  for (int k = 0; k < 2500; ++k) {
+    blocks.push_back(Bytes(static_cast<std::size_t>(k % 7 + 1),
+                           static_cast<std::uint8_t>(k)));
+  }
+  Pieces pieces;
+  Bytes expected;
+  for (const Bytes& block : blocks) {
+    pieces.view(block);
+    pieces.writer().u8(0xee);
+    expected.insert(expected.end(), block.begin(), block.end());
+    expected.push_back(0xee);
+  }
+  PosixEnv env;
+  env.write_file(path, pieces);
+  EXPECT_EQ(env.read_file(path).value(), expected);
+  std::string cleanup = "rm -rf " + std::string(tmpl);
+  ASSERT_EQ(std::system(cleanup.c_str()), 0);
+}
+
 TEST(CheckpointStore, CorruptCheckpointReadsAsAbsent) {
   MemEnv env;
   CheckpointStore store(env, "d");
@@ -254,7 +381,9 @@ TEST(ReplicaStorage, CheckpointTruncatesTheWalItCovers) {
   }
   Checkpoint ckpt = sample_checkpoint();
   ckpt.cid = ConsensusId{4};
-  store.write_checkpoint(ckpt);
+  Pieces snapshot;
+  snapshot.view(ckpt.full_snapshot);
+  store.write_checkpoint(ckpt, std::move(snapshot));
 
   ASSERT_EQ(store.wal_records().size(), 2u);
   EXPECT_EQ(store.wal_records()[0].seq, 5u);
