@@ -261,8 +261,13 @@ void schedule_every(net::SocketTransport& transport, SimTime period,
 /// Per-role observability: tracer clock on the transport, log capture into
 /// the flight recorder, crash dump handlers, a SIGUSR1-triggered metrics
 /// snapshot, and (with SS_METRICS_PERIOD=N) a periodic JSON metrics dump.
+/// The role keeps only the spans its flight recorder can print (a dump shows
+/// at most FlightRecorder::capacity() events), so the trace file written at
+/// exit holds that many newest spans too.
 void setup_observability(net::SocketTransport& transport,
                          const std::string& tag) {
+  obs::Tracer::instance().set_capacity(
+      obs::FlightRecorder::instance().capacity());
   obs::Tracer::instance().set_clock([&transport] { return transport.now(); });
   obs::FlightRecorder::instance().capture_logs();
   install_crash_handlers();
@@ -361,6 +366,11 @@ int run_replica(const std::string& config, GroupConfig group,
                 std::uint32_t id) {
   install_stop_handler();
   net::SocketTransport transport = make_transport(config);
+  // Before recovery: replaying the WAL already records spans, and the Tracer
+  // should take its final capacity before its ring is first filled.
+  const std::string tag = "replica/" + std::to_string(id);
+  setup_observability(transport, tag);
+  ObsTeardown teardown{tag};
   crypto::Keychain keys(kGroupSecret);
 
   scada::MasterOptions master_options;
@@ -433,9 +443,6 @@ int run_replica(const std::string& config, GroupConfig group,
     replica.request_state_transfer();
   }
 
-  const std::string tag = "replica/" + std::to_string(id);
-  setup_observability(transport, tag);
-  ObsTeardown teardown{tag};
   std::fprintf(stderr, "[replica/%u] up\n", id);
   arm_stats_heartbeat(transport, tag, [&] {
     return "decided=" + std::to_string(replica.stats().batches_decided);

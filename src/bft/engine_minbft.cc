@@ -466,8 +466,10 @@ void MinBftEngine::send_viewchange(std::uint64_t view) {
   if (view <= view_ || highest_vc_sent_ > view) return;
   // Re-broadcasting for an already-voted target is deliberate (and mints a
   // fresh counter certificate each time): view-change votes can be lost on
-  // lossy links, and the suspect timers keep firing while the change is
-  // needed, so the retransmit is periodic.
+  // lossy links. A request's suspect timer fires once, and a client's
+  // retransmission of the still-pending request arms it again
+  // (ReplicaCore::enqueue_pending), so the vote recurs for as long as the
+  // client keeps asking.
   highest_vc_sent_ = view;
 
   refresh_retained_prepare();

@@ -342,8 +342,10 @@ void PbftEngine::send_stop(std::uint64_t regency) {
   if (regency <= regency_ || highest_stop_sent_ > regency) return;
   // Re-broadcasting an already-sent STOP is deliberate: STOPs can be lost
   // on lossy links, and peers stuck below the install quorum have no other
-  // way to learn of this replica's vote. The suspect timers keep firing
-  // while the view change is needed, so the retransmit is periodic.
+  // way to learn of this replica's vote. A request's suspect timer fires
+  // once, and a client's retransmission of the still-pending request arms
+  // it again (ReplicaCore::enqueue_pending), so the vote recurs for as long
+  // as the client keeps asking.
   highest_stop_sent_ = regency;
   Stop s{regency, id_};
   host_.broadcast_replicas(MsgType::kStop, s.encode());

@@ -297,7 +297,16 @@ void ReplicaCore::handle_client_request(const Envelope& env,
 
 void ReplicaCore::enqueue_pending(ClientRequest req) {
   auto& per_client = pending_index_[req.client.value];
-  if (per_client.count(req.sequence.value) > 0) return;  // duplicate
+  if (per_client.count(req.sequence.value) > 0) {
+    // A retransmission of a request still pending. Its suspect timer fires
+    // once; if that vote against the leader was lost, the client asking
+    // again is what makes this replica suspect again.
+    if (suspects_leader() &&
+        !suspect_timers_.contains({req.client.value, req.sequence.value})) {
+      arm_suspect_timer(req.client, req.sequence);
+    }
+    return;
+  }
   if (per_client.size() >= opt_.max_pending_per_client) {
     ++stats_.requests_flood_dropped;
     return;  // flood protection; the client will retransmit
@@ -306,9 +315,11 @@ void ReplicaCore::enqueue_pending(ClientRequest req) {
   RequestId seq = req.sequence;
   pending_.push_back(std::move(req));
   per_client[seq.value] = std::prev(pending_.end());
-  if (!is_leader() || engine_->leader_self_suspects()) {
-    arm_suspect_timer(client, seq);
-  }
+  if (suspects_leader()) arm_suspect_timer(client, seq);
+}
+
+bool ReplicaCore::suspects_leader() const {
+  return !is_leader() || engine_->leader_self_suspects();
 }
 
 void ReplicaCore::erase_pending(ClientId client, RequestId seq) {
@@ -328,10 +339,6 @@ void ReplicaCore::erase_pending(ClientId client, RequestId seq) {
 
 void ReplicaCore::arm_suspect_timer(ClientId client, RequestId seq) {
   PendingKey key{client.value, seq.value};
-  auto existing = suspect_timers_.find(key);
-  if (existing != suspect_timers_.end() && existing->second.suspect.active()) {
-    return;
-  }
   RequestTimers& timers = suspect_timers_[key];
 
   auto still_pending = [this, client, seq] {
@@ -354,10 +361,13 @@ void ReplicaCore::arm_suspect_timer(ClientId client, RequestId seq) {
         });
   }
 
-  // Phase 2 (request_timeout): the leader had its chance; vote it out.
+  // Phase 2 (request_timeout): the leader had its chance; vote it out. Both
+  // timers have fired by now, so the entry goes first (a view change below
+  // may re-arm it): a retransmission finds no entry and arms a new round.
   timers.suspect =
-      net_.schedule(skewed(opt_.request_timeout), [this, client, seq,
+      net_.schedule(skewed(opt_.request_timeout), [this, key, client, seq,
                                                   still_pending] {
+        suspect_timers_.erase(key);
         if (!still_pending()) return;
         SS_LOG(LogLevel::kInfo, net_.now(), endpoint_.c_str(),
                "request (%u,%lu) not ordered in time; suspecting leader %u",

@@ -257,6 +257,9 @@ class ReplicaCore final : private EngineHost {
   void handle_client_request(const Envelope& env, Prevalidated& pre);
   void enqueue_pending(ClientRequest req);
   void erase_pending(ClientId client, RequestId seq);
+  /// Whether this replica times its pending requests against the leader:
+  /// followers do, and so does a self-suspecting leader (MinBFT).
+  bool suspects_leader() const;
   void arm_suspect_timer(ClientId client, RequestId seq);
 
   // --- execution ----------------------------------------------------------
@@ -313,7 +316,8 @@ class ReplicaCore final : private EngineHost {
 
   /// A pending request's two timers: forward it to the leader at
   /// request_timeout/2, suspect the leader at request_timeout. Both go
-  /// when the request does.
+  /// when the request does or the suspect timer fires; a retransmission of
+  /// a request with no entry arms a new pair.
   struct RequestTimers {
     net::Timer forward;
     net::Timer suspect;

@@ -10,14 +10,17 @@
 //
 // The model is expressed against the Transport seam, so components that
 // charge virtual CPU cost work on any backend. On the simulated backend
-// completions land at exact virtual times. On the socket backend costs are
-// usually zero (real CPUs charge themselves); a non-zero cost degrades
-// gracefully into a real delay.
+// completions land at exact virtual times, each one a timer. On the socket
+// backend costs are usually zero (real CPUs charge themselves), and a job
+// that costs nothing and finds a lane free runs in place, inside submit():
+// it needs no timer, and a received message is handled before the next one
+// is read. A non-zero cost degrades gracefully into a real delay.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -37,8 +40,10 @@ class Lanes {
 
   /// Schedules `done` to run when a lane has spent `cost` ns on this work
   /// item. Queueing delay is implicit: if every lane is busy the work waits
-  /// for the earliest completion.
-  void submit(SimTime cost, std::function<void()> done) {
+  /// for the earliest completion. On a transport that models no CPU, work
+  /// that would complete now runs before submit() returns.
+  template <typename Done>
+  void submit(SimTime cost, Done&& done) {
     auto it = std::min_element(free_at_.begin(), free_at_.end());
     SimTime now = transport_.now();
     SimTime start = std::max(*it, now);
@@ -46,7 +51,12 @@ class Lanes {
     *it = finish;
     busy_ns_ += cost;
     ++jobs_;
-    transport_.schedule(finish - now, std::move(done));
+    if (finish == now && !transport_.models_cpu()) {
+      done();
+      return;
+    }
+    transport_.schedule(finish - now,
+                        std::function<void()>(std::forward<Done>(done)));
   }
 
   /// Time at which the next submitted job could start (for backlog probes).

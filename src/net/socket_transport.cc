@@ -140,28 +140,16 @@ struct SocketTransport::RxRing {
   std::uint8_t* slab = nullptr;
 };
 
-struct SocketTransport::TimerState {
+struct SocketTransport::TimerState final : Timer::Impl {
+  void cancel() override {
+    cancelled = true;
+    action = nullptr;  // release captures eagerly
+  }
+  bool active() const override { return !cancelled; }
+
   bool cancelled = false;
   std::function<void()> action;
 };
-
-namespace {
-
-class SocketTimerImpl final : public Timer::Impl {
- public:
-  explicit SocketTimerImpl(std::shared_ptr<SocketTransport::TimerState> state)
-      : state_(std::move(state)) {}
-  void cancel() override {
-    state_->cancelled = true;
-    state_->action = nullptr;  // release captures eagerly
-  }
-  bool active() const override { return !state_->cancelled; }
-
- private:
-  std::shared_ptr<SocketTransport::TimerState> state_;
-};
-
-}  // namespace
 
 SocketTransport::SocketTransport(Resolver resolver, SocketOptions options)
     : resolver_(std::move(resolver)),
@@ -190,6 +178,7 @@ SocketTransport::SocketTransport(Resolver resolver, SocketOptions options)
         emit("reassembly_expired",
              static_cast<double>(stats_.reassembly_expired));
         emit("timers_fired", static_cast<double>(stats_.timers_fired));
+        emit("timers_pending", static_cast<double>(timers_pending()));
         emit("rx_batches", static_cast<double>(stats_.rx_batches));
         emit("rx_ring_full", static_cast<double>(stats_.rx_ring_full));
       });
@@ -408,8 +397,8 @@ void SocketTransport::handle_datagram(ByteView datagram) {
   if (frag_count == 1) {
     payload.assign(fragment.begin(), fragment.end());
   } else {
-    auto key = std::make_tuple(from, msg_id, to);
-    Reassembly& rs = reassembly_[key];
+    auto slot = reassembly_.try_emplace(std::make_tuple(from, msg_id, to)).first;
+    Reassembly& rs = slot->second;
     if (rs.count == 0) {
       rs.first_seen = now();
       rs.count = frag_count;
@@ -429,7 +418,7 @@ void SocketTransport::handle_datagram(ByteView datagram) {
     rs.bytes += fragment.size();
     if (rs.bytes > kMaxMessage) {
       ++stats_.oversized_drops;
-      reassembly_.erase(key);
+      drop_reassembly(slot);
       return;
     }
     if (frag_index != rs.next) {
@@ -438,9 +427,17 @@ void SocketTransport::handle_datagram(ByteView datagram) {
     }
     if (rs.next == 0) {
       // Every fragment but the last is as long as the first, so this is
-      // room for the whole message: appending never reallocates.
-      rs.payload.reserve(std::min<std::size_t>(
-          std::size_t{rs.count} * fragment.size(), kMaxMessage));
+      // room for the whole message: appending never reallocates. The size
+      // is only what an unauthenticated header claims, so the room comes
+      // out of one transport-wide budget; once a flood of such claims has
+      // spent it, a message grows as its fragments arrive instead.
+      const std::size_t want = std::min<std::size_t>(
+          std::size_t{rs.count} * fragment.size(), kMaxMessage);
+      if (want <= kMaxMessage - reassembly_reserved_) {
+        rs.payload.reserve(want);
+        rs.reserved = want;
+        reassembly_reserved_ += want;
+      }
     }
     rs.payload.insert(rs.payload.end(), fragment.begin(), fragment.end());
     ++rs.next;
@@ -452,7 +449,7 @@ void SocketTransport::handle_datagram(ByteView datagram) {
     }
     if (rs.next < rs.count) return;
     payload = std::move(rs.payload);
-    reassembly_.erase(key);
+    drop_reassembly(slot);
   }
 
   ++stats_.messages_delivered;
@@ -561,20 +558,46 @@ Timer SocketTransport::schedule(SimTime delay, std::function<void()> action) {
   if (delay < 0) delay = 0;
   auto state = std::make_shared<TimerState>();
   state->action = std::move(action);
-  timers_.push(PendingTimer{now() + delay, next_timer_seq_++, state});
-  return Timer(std::make_shared<SocketTimerImpl>(std::move(state)));
+  timers_.push_back(PendingTimer{now() + delay, next_timer_seq_++, state});
+  std::push_heap(timers_.begin(), timers_.end(), TimerLater{});
+  // A cancelled timer stays in the heap until its deadline unless it is
+  // compacted out. Compacting only once the heap has doubled keeps the
+  // cost amortized O(1) per schedule and needs no link from a Timer back
+  // to the transport.
+  if (timers_.size() >= 2 * timers_compacted_size_) compact_timers();
+  return Timer(std::move(state));
+}
+
+void SocketTransport::compact_timers() {
+  std::erase_if(timers_,
+                [](const PendingTimer& t) { return t.state->cancelled; });
+  std::make_heap(timers_.begin(), timers_.end(), TimerLater{});
+  timers_compacted_size_ = std::max(timers_.size(), kTimerCompactionFloor);
+}
+
+std::size_t SocketTransport::timers_pending() const {
+  return static_cast<std::size_t>(
+      std::count_if(timers_.begin(), timers_.end(),
+                    [](const PendingTimer& t) { return !t.state->cancelled; }));
 }
 
 void SocketTransport::fire_due_timers() {
   SimTime t = now();
-  while (!timers_.empty() && timers_.top().when <= t) {
-    PendingTimer timer = timers_.top();
-    timers_.pop();
-    if (timer.state->cancelled || !timer.state->action) continue;
+  while (!timers_.empty() && timers_.front().when <= t) {
+    std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
+    std::shared_ptr<TimerState> state = std::move(timers_.back().state);
+    timers_.pop_back();
+    if (state->cancelled || !state->action) continue;
     ++stats_.timers_fired;
-    std::function<void()> action = std::move(timer.state->action);
+    std::function<void()> action = std::move(state->action);
     action();
   }
+}
+
+SocketTransport::ReassemblyMap::iterator SocketTransport::drop_reassembly(
+    ReassemblyMap::iterator it) {
+  reassembly_reserved_ -= it->second.reserved;
+  return reassembly_.erase(it);
 }
 
 void SocketTransport::expire_reassemblies() {
@@ -584,7 +607,7 @@ void SocketTransport::expire_reassemblies() {
   for (auto it = reassembly_.begin(); it != reassembly_.end();) {
     if (t - it->second.first_seen > kReassemblyTimeout) {
       ++stats_.reassembly_expired;
-      it = reassembly_.erase(it);
+      it = drop_reassembly(it);
     } else {
       ++it;
     }
@@ -607,7 +630,7 @@ std::size_t SocketTransport::poll_once(SimTime max_wait) {
 
   SimTime wait = max_wait < 0 ? 0 : max_wait;
   if (!timers_.empty()) {
-    SimTime until_timer = timers_.top().when - now();
+    SimTime until_timer = timers_.front().when - now();
     if (until_timer < wait) wait = until_timer;
   }
   if (wait < 0) wait = 0;

@@ -8,7 +8,11 @@
 // too. Outgoing datagrams are batched per poll iteration and flushed with
 // sendmmsg(2) (falling back to sendto(2)); incoming ones are drained with
 // recvmmsg(2) into a lazily resident slab; timers live in a min-heap that
-// drives the poll timeout. Single-threaded by design, like the simulated
+// drives the poll timeout, one allocation each, and cancelled ones are
+// compacted out of it whenever it has doubled since the last compaction.
+// The CPU is real, so models_cpu() is false: net::Lanes runs zero-cost work
+// in place, and each received datagram is fully handled before the next
+// one is parsed. Single-threaded by design, like the simulated
 // loop: everything on this class — attach/detach, send, poll_once/run,
 // handlers and timer actions — runs on the one thread that polls it, and
 // handlers never run re-entrantly inside send(). Debug builds assert it
@@ -26,7 +30,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -97,6 +100,7 @@ class SocketTransport final : public Transport {
   Timer schedule(SimTime delay, std::function<void()> action) override;
   /// Monotonic wall-clock nanoseconds since transport construction.
   SimTime now() const override;
+  bool models_cpu() const override { return false; }
 
   // --- loop ---------------------------------------------------------------
   /// One poll iteration: flush sends, wait (at most `max_wait` ns) for
@@ -122,8 +126,13 @@ class SocketTransport final : public Transport {
 
   const SocketStats& stats() const { return stats_; }
   const Resolver& resolver() const { return resolver_; }
+  /// Scheduled timers neither fired nor cancelled (the registry's
+  /// "timers_pending").
+  std::size_t timers_pending() const;
 
-  struct TimerState;  // implementation detail, public for the Timer adapter
+  /// One scheduled action; it is also the Timer's Impl, so a timer costs one
+  /// allocation (plus whatever its action's captures need).
+  struct TimerState;
 
  private:
   struct EndpointState {
@@ -136,6 +145,8 @@ class SocketTransport final : public Transport {
     std::uint64_t seq;
     std::shared_ptr<TimerState> state;
   };
+  /// Heap order for timers_: std::*_heap keep the earliest (when, seq) at
+  /// the front.
   struct TimerLater {
     bool operator()(const PendingTimer& a, const PendingTimer& b) const {
       if (a.when != b.when) return a.when > b.when;
@@ -155,9 +166,15 @@ class SocketTransport final : public Transport {
     std::uint16_t count = 0;  ///< fragments, as the first one seen says
     std::uint16_t next = 0;   ///< fragments [0, next) are in `payload`
     std::size_t bytes = 0;    ///< fragment bytes received so far
+    std::size_t reserved = 0; ///< charged to reassembly_reserved_
     Bytes payload;
     std::map<std::uint16_t, Bytes> early;
   };
+
+  /// (sender name, message id, receiver name) -> partial message.
+  using ReassemblyMap =
+      std::map<std::tuple<std::string, std::uint64_t, std::string>,
+               Reassembly>;
 
   struct RxRing;  // mmap'd recvmmsg slab (defined in the .cc)
 
@@ -174,6 +191,10 @@ class SocketTransport final : public Transport {
   bool note_recv_failure(const std::string& name, int err);
   void handle_datagram(ByteView datagram);
   void fire_due_timers();
+  /// Erases the cancelled entries of timers_ and re-heapifies it.
+  void compact_timers();
+  /// Erases a partial message and hands its reservation back.
+  ReassemblyMap::iterator drop_reassembly(ReassemblyMap::iterator it);
   void expire_reassemblies();
 
   Resolver resolver_;
@@ -190,12 +211,19 @@ class SocketTransport final : public Transport {
   std::vector<OutDatagram> outbox_;
 
   std::uint64_t next_timer_seq_ = 0;
-  std::priority_queue<PendingTimer, std::vector<PendingTimer>, TimerLater>
-      timers_;
+  /// Min-heap (TimerLater) of scheduled timers, cancelled ones included
+  /// until the next compaction or their deadline.
+  std::vector<PendingTimer> timers_;
+  /// timers_.size() after the last compaction, at least this floor; the
+  /// next one runs once the heap has doubled from it.
+  static constexpr std::size_t kTimerCompactionFloor = 32;
+  std::size_t timers_compacted_size_ = kTimerCompactionFloor;
 
-  /// (sender name, message id, receiver name) -> partial message.
-  std::map<std::tuple<std::string, std::uint64_t, std::string>, Reassembly>
-      reassembly_;
+  ReassemblyMap reassembly_;
+  /// Bytes the partial messages in reassembly_ have reserved up front, at
+  /// most kMaxMessage in all: a frame header is not authenticated, so a
+  /// forged first fragment may claim any size.
+  std::size_t reassembly_reserved_ = 0;
   SimTime last_gc_ = 0;
 
   /// RX slots for both read paths; recvfrom reads into slot 0.

@@ -85,6 +85,12 @@ class Transport {
 
   virtual Timer schedule(SimTime delay, std::function<void()> action) = 0;
   virtual SimTime now() const = 0;
+
+  /// Whether work that costs no modelled CPU still takes its turn as a
+  /// zero-delay timer (net::Lanes). True by default, which keeps the
+  /// simulator's event order; a backend whose CPU is real returns false,
+  /// and such work then runs in place.
+  virtual bool models_cpu() const { return true; }
 };
 
 }  // namespace ss::net

@@ -56,6 +56,53 @@ TEST(Forwarding, DisabledFallsBackToViewChange) {
   EXPECT_GE(cluster.replicas[1]->regency(), 1u);  // had to change leader
 }
 
+// ---------------------------------------------------------------------------
+// Suspicion that is lost must come again. A request's suspect timer fires
+// once; a client retransmission of the still-pending request is what
+// re-arms it, so the vote against a leader that never proposes is sent
+// again after a loss burst swallowed the first one.
+
+class LostSuspicion : public ::testing::TestWithParam<Protocol> {};
+
+INSTANTIATE_TEST_SUITE_P(Engines, LostSuspicion,
+                         ::testing::Values(Protocol::kPbft, Protocol::kMinBft),
+                         [](const auto& info) {
+                           return info.param == Protocol::kPbft ? "Pbft"
+                                                                : "MinBft";
+                         });
+
+TEST_P(LostSuspicion, CensoredRequestExecutesAfterTheFirstVoteIsLost) {
+  Cluster cluster(1, {}, 0xFA111, GetParam());
+  const std::uint32_t n = cluster.group.n;
+  // The leader never proposes, so this client's request is the only one
+  // pending. Every link between two followers loses its first message:
+  // the first leader-change vote each follower sends.
+  cluster.replicas[0]->set_byzantine(ByzantineMode::kSilent);
+  sim::LinkPolicy burst;
+  burst.drop_first_n = 1;
+  for (std::uint32_t i = 1; i < n; ++i) {
+    for (std::uint32_t j = 1; j < n; ++j) {
+      if (i == j) continue;
+      cluster.net.set_policy(crypto::replica_principal(ReplicaId{i}),
+                             crypto::replica_principal(ReplicaId{j}), burst);
+    }
+  }
+
+  auto client = cluster.make_client(1);
+  SimTime done_at = -1;
+  client->invoke_ordered(KvApp::put("k", "v"),
+                         [&](Bytes) { done_at = cluster.loop.now(); });
+  // The first suspicion fires at request_timeout (400 ms) and is lost. A
+  // retransmission comes within the client's backoff cap (1.2 s) and re-arms
+  // the suspect timer for another request_timeout; the new leader then
+  // orders the request in a few round trips.
+  cluster.run_for(seconds(3));
+  EXPECT_GE(done_at, 0) << "the request never executed";
+  for (std::uint32_t i = 1; i < n; ++i) {
+    EXPECT_EQ(cluster.apps[i]->applied(), 1u) << i;
+  }
+}
+
 TEST(FloodProtection, ExcessPendingRequestsAreDropped) {
   ReplicaOptions options;
   options.max_pending_per_client = 8;

@@ -32,6 +32,7 @@
 #include "net/resolver.h"
 #include "net/socket_transport.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "rtu/driver.h"
 #include "rtu/frame_check.h"
 #include "rtu/modbus.h"
@@ -800,17 +801,20 @@ TEST(BatchedRx, RecvfromFallbackDeliversByteIdenticalMessages) {
   EXPECT_EQ(single.back().payload, largest);
 }
 
-/// This process's resident set in KiB (VmRSS in /proc/self/status).
-long resident_kib() {
+/// A "<field> <n> kB" line of /proc/self/status, in KiB.
+long status_kib(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      return std::strtol(line.c_str() + 6, nullptr, 10);
+    if (line.rfind(field, 0) == 0) {
+      return std::strtol(line.c_str() + field.size(), nullptr, 10);
     }
   }
   return -1;
 }
+
+/// This process's resident set in KiB.
+long resident_kib() { return status_kib("VmRSS:"); }
 
 TEST(BatchedRx, RingIsResidentOnlyWhereDatagramsLand) {
   // The default ring reserves 32 x 64 KiB of address space. Constructing the
@@ -871,6 +875,175 @@ TEST(BatchedRx, RingIsResidentOnlyWhereDatagramsLand) {
       growth(net::SocketOptions{}.rx_batch, large_frames);
   EXPECT_LT(large_constructed, kBoundKib) << "at construction";
   EXPECT_LT(large_drained, kBoundKib) << "after 32 full-size datagrams";
+}
+
+TEST(Reassembly, ForgedFirstFragmentsReserveABoundedTotal) {
+  // A frame header is not authenticated, yet the first fragment's claimed
+  // count sizes the room reserved for the whole message. 200 forged 1 KiB
+  // first fragments that each claim 65535 fragments (a 64 MiB message)
+  // must not reserve 200 x 64 MiB of address space, and a genuine large
+  // message sent while they are all still in flight must arrive intact.
+  net::Resolver resolver;
+  std::uint16_t port = next_port();
+  resolver.add("bob", net::SocketAddress{"127.0.0.1", port});
+  net::SocketTransport transport(std::move(resolver));
+  std::vector<Bytes> received;
+  transport.attach("bob", [&](net::Message m) {
+    received.push_back(std::move(m.payload));
+  });
+
+  auto fragment_frame = [](std::uint64_t msg_id, std::uint16_t index,
+                           std::uint16_t count, const Bytes& piece) {
+    Writer w;
+    w.u32(0x53535450);  // "SSTP"
+    w.u8(1);            // version
+    w.u64(msg_id);
+    w.u16(index);
+    w.u16(count);
+    w.str("mallory");
+    w.str("bob");
+    w.blob(piece);
+    return std::move(w).take();
+  };
+  // A few at a time, so a small socket buffer drops none of them.
+  auto deliver = [&](const std::vector<Bytes>& frames) {
+    for (std::size_t i = 0; i < frames.size(); i += 10) {
+      const std::uint64_t seen = transport.stats().datagrams_received;
+      const std::size_t end = std::min(frames.size(), i + 10);
+      blast(port, std::vector<Bytes>(frames.begin() + i, frames.begin() + end));
+      ASSERT_TRUE(transport.run_until(
+          [&] {
+            return transport.stats().datagrams_received >= seen + (end - i);
+          },
+          seconds(2)));
+    }
+  };
+
+  constexpr int kForged = 200;
+  std::vector<Bytes> forged;
+  for (int i = 0; i < kForged; ++i) {
+    forged.push_back(fragment_frame(1000 + i, 0, 65535,
+                                    Bytes(1024, static_cast<std::uint8_t>(i))));
+  }
+  const long before = status_kib("VmSize:");
+  ASSERT_GT(before, 0);
+  deliver(forged);
+  const long grown = status_kib("VmSize:") - before;
+  // At most one message's worth (64 MiB) is reserved in all, plus the
+  // bookkeeping of 200 partial messages.
+  EXPECT_LT(grown, 96 * 1024) << "KiB of address space for " << kForged
+                              << " forged first fragments";
+  EXPECT_TRUE(received.empty());
+
+  Bytes message(150000);
+  for (std::size_t k = 0; k < message.size(); ++k) {
+    message[k] = static_cast<std::uint8_t>(k * 7 + (k >> 11));
+  }
+  std::vector<Bytes> genuine;
+  for (std::uint16_t f = 0; f < 3; ++f) {
+    const std::size_t off = std::size_t{f} * 60000;
+    genuine.push_back(fragment_frame(
+        1, f, 3,
+        Bytes(message.begin() + static_cast<std::ptrdiff_t>(off),
+              message.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(off + 60000, message.size())))));
+  }
+  deliver(genuine);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0], message);
+}
+
+// ---------------------------------------------------------------------------
+// Socket timers and zero-cost work
+
+TEST(ZeroCostWork, RunsInsideTheHandlerOnSockets) {
+  // The socket backend models no CPU: a zero-cost Lanes job submitted from a
+  // handler runs before the handler returns, without a timer, so each
+  // datagram of an RX batch is fully handled before the next one is read.
+  net::Resolver resolver;
+  std::uint16_t port = next_port();
+  resolver.add("bob", net::SocketAddress{"127.0.0.1", port});
+  net::SocketOptions options;
+  options.rx_batch = 8;
+  net::SocketTransport transport(std::move(resolver), options);
+  EXPECT_FALSE(transport.models_cpu());
+  net::Lanes lanes(transport, 1);
+
+  std::vector<std::string> order;
+  transport.attach("bob", [&](net::Message m) {
+    const std::string n = std::to_string(m.payload.at(0));
+    lanes.submit(0, [&order, n] { order.push_back("job " + n); });
+    order.push_back("return " + n);
+  });
+  blast(port, {make_frame(1, "alice", "bob", Bytes{1}),
+               make_frame(2, "alice", "bob", Bytes{2})});
+  ASSERT_TRUE(
+      transport.run_until([&] { return order.size() >= 4; }, seconds(2)));
+  EXPECT_EQ(order, (std::vector<std::string>{"job 1", "return 1", "job 2",
+                                             "return 2"}));
+  EXPECT_EQ(transport.stats().timers_fired, 0u);
+  EXPECT_EQ(lanes.jobs(), 2u);
+}
+
+TEST(ZeroCostWork, StaysAZeroDelayTimerInTheSimulator) {
+  // The simulator keeps its event order: the same job runs after the
+  // handler returns, at the delivery time, ahead of a zero-delay timer the
+  // handler schedules after it.
+  sim::EventLoop loop;
+  sim::Network net(loop, micros(100), 0);
+  EXPECT_TRUE(net.models_cpu());
+  net::Lanes lanes(net, 1);
+
+  std::vector<std::string> order;
+  SimTime job_at = -1;
+  net.attach("bob", [&](net::Message) {
+    lanes.submit(0, [&] {
+      order.push_back("job");
+      job_at = loop.now();
+    });
+    net.schedule(0, [&] { order.push_back("timer"); });
+    order.push_back("return");
+  });
+  net.send("alice", "bob", Bytes{1});
+  loop.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"return", "job", "timer"}));
+  EXPECT_EQ(job_at, micros(100));
+}
+
+/// `transport.<field>` from the registry's JSON snapshot; -1 if absent.
+double transport_metric(const std::string& field) {
+  const std::string json = obs::Registry::instance().json();
+  const std::string key = "\"" + field + "\":";
+  const std::size_t source = json.find("\"transport\"");
+  if (source == std::string::npos) return -1;
+  const std::size_t at = json.find(key, source);
+  if (at == std::string::npos) return -1;
+  return std::strtod(json.c_str() + at + key.size(), nullptr);
+}
+
+TEST(SocketTimers, CancelledTimersLeaveTheHeap) {
+  // Each follower arms a suspect timer per request and cancels it when the
+  // request executes. 100 000 timers scheduled 1 s ahead and cancelled must
+  // not stay queued until their deadline.
+  SS_REQUIRE_HEAP_USAGE();
+  net::Resolver resolver;
+  resolver.add("bob", net::SocketAddress{"127.0.0.1", next_port()});
+  net::SocketTransport transport(std::move(resolver));
+  std::size_t fired = 0;
+  transport.schedule(millis(1), [&] { ++fired; });  // one live timer
+  const std::size_t before = test::heap_in_use();
+  for (int i = 0; i < 100000; ++i) {
+    net::Timer timer =
+        transport.schedule(seconds(1), [&fired, i] { fired += i; });
+    timer.cancel();
+  }
+  const std::size_t after = test::heap_in_use();
+  EXPECT_EQ(transport_metric("timers_pending"), 1);
+  EXPECT_LT(after, before + (std::size_t{16} << 10)) << "heap bytes";
+  ASSERT_TRUE(transport.run_until([&] { return fired > 0; }, seconds(1)));
+  EXPECT_EQ(fired, 1u);
+  EXPECT_EQ(transport_metric("timers_pending"), 0);
+  EXPECT_EQ(transport.stats().timers_fired, 1u);
 }
 
 TEST(SocketOptionsFromEnv, RxBatchTakesAWholeNumberInRange) {

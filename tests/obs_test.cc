@@ -570,6 +570,39 @@ TEST(FlightRecorderTest, ClearHidesEarlierSpansTheTracerStillHolds) {
   rec.clear();
 }
 
+TEST(FlightRecorderTest, ASpanRingOfTheRecorderCapacityDumpsTheSame) {
+  // A deploy role keeps only as many spans as its recorder dumps events.
+  // One stream of spans and notes, fed to a Tracer of 8192 spans and then
+  // to one of 4096, must dump byte-identical text: with the window full,
+  // and with a clear() limiting it to the events since.
+  FlightRecorder& rec = FlightRecorder::instance();
+  Tracer& tracer = Tracer::instance();
+  ASSERT_EQ(rec.capacity(), 4096u);
+  auto dump_after = [&](std::size_t span_capacity, std::uint64_t spans,
+                        std::uint64_t clear_after) {
+    tracer.reset();
+    rec.clear();
+    tracer.set_capacity(span_capacity);
+    for (std::uint64_t i = 1; i <= spans; ++i) {
+      const SimTime at = static_cast<SimTime>(i) * 1000;
+      tracer.record(OpId{i}, i % 3 == 0 ? "agreement" : "voter", "replica/0",
+                    at - 400, at);
+      if (i % 5 == 0) rec.note(at, "log INFO  net: note " + std::to_string(i));
+      if (i == clear_after) rec.clear();
+    }
+    return rec.dump_string();
+  };
+  const std::string full = dump_after(8192, 12000, 0);
+  EXPECT_EQ(full, dump_after(4096, 12000, 0));
+  EXPECT_NE(full.find("(4096 of last 4096 events)"), std::string::npos);
+  const std::string cleared = dump_after(8192, 6000, 4500);
+  EXPECT_EQ(cleared, dump_after(4096, 6000, 4500));
+  EXPECT_NE(cleared.find("(1800 of last 4096 events)"), std::string::npos);
+  tracer.reset();
+  tracer.set_capacity(8192);
+  rec.clear();
+}
+
 TEST(FlightRecorderTest, SpanLineFormatIsUnchanged) {
   FlightRecorder& rec = FlightRecorder::instance();
   Tracer& tracer = Tracer::instance();
