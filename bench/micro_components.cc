@@ -105,14 +105,35 @@ void BM_HandlerChainUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_HandlerChainUpdate);
 
+/// The k-th update of the alarm workload as the replicated Master sees it:
+/// the Frontend's op id (its instance above bit 40, a counter below), one
+/// agreement timestamp per batch of four requests about a millisecond
+/// apart, and the value the benchmark pushes (a base plus the index).
+OpId alarm_op(std::uint64_t k) {
+  return OpId{(std::uint64_t{0x2f1} << 40) | (k + 1)};
+}
+SimTime alarm_time(std::uint64_t k) {
+  const auto batch = static_cast<SimTime>(k / 4);
+  return seconds(1) + batch * millis(1) + (batch * 7919) % 50000;
+}
+scada::Variant alarm_value(std::uint64_t k) {
+  return scada::Variant{1e9 + static_cast<double>(k)};
+}
+
+/// One Monitor alarm appended to a full 4096-event window (so one is
+/// evicted), with value, op and timestamp advancing as the workload's do.
 void BM_StorageAppend(benchmark::State& state) {
   scada::EventStorage storage(4096);
   scada::Event event;
   event.item = ItemId{1};
   event.code = "MONITOR_TRIGGER";
   event.message = "monitor condition met on item grid/feeder";
-  event.value = scada::Variant{123.4};
+  std::uint64_t k = 0;
   for (auto _ : state) {
+    event.value = alarm_value(k);
+    event.op = alarm_op(k);
+    event.timestamp = alarm_time(k);
+    ++k;
     benchmark::DoNotOptimize(storage.append(event));
   }
 }
@@ -181,7 +202,7 @@ BENCHMARK(BM_MasterSnapshot)->Arg(10)->Arg(100)->Arg(1000);
 
 /// A master as `deploy replica` configures it for the alarm workload
 /// (retention 0, a Monitor that raises an event on every temperature
-/// update), fed `updates` updates.
+/// update), fed `updates` of the workload's updates.
 std::unique_ptr<scada::ScadaMaster> alarm_master(std::int64_t updates) {
   scada::MasterOptions options;
   options.deterministic = true;
@@ -193,22 +214,27 @@ std::unique_ptr<scada::ScadaMaster> alarm_master(std::int64_t updates) {
   scada::ItemUpdate update;
   update.item = item;
   scada::MsgContext ctx;
-  for (std::int64_t k = 0; k < updates; ++k) {
-    update.value = scada::Variant{1e9 + static_cast<double>(k)};
-    ctx.op = OpId{static_cast<std::uint64_t>(k + 1)};
-    ctx.timestamp = static_cast<SimTime>(k + 1) * 1000;
+  for (std::uint64_t k = 0; k < static_cast<std::uint64_t>(updates); ++k) {
+    update.value = alarm_value(k);
+    ctx.op = alarm_op(k);
+    ctx.timestamp = alarm_time(k);
     master->handle(scada::ScadaMessage{update}, ctx, "frontend");
   }
   return master;
 }
 
 /// snapshot() with a populated event log: what state transfer and durable
-/// checkpoints pay.
+/// checkpoints pay. bytes_per_event is the event log's encoded size per
+/// resident event.
 void BM_MasterSnapshotEventLog(benchmark::State& state) {
   auto master = alarm_master(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(master->snapshot());
   }
+  const scada::EventStorage& storage = master->storage();
+  state.counters["bytes_per_event"] =
+      static_cast<double>(storage.log_bytes()) /
+      static_cast<double>(storage.resident());
 }
 BENCHMARK(BM_MasterSnapshotEventLog)->Arg(20000);
 

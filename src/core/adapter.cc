@@ -101,6 +101,13 @@ Adapter::Adapter(net::Transport& net, GroupConfig group, ReplicaId id,
         emit("master.write_results", static_cast<double>(mc.write_results));
         emit("master.write_timeouts", static_cast<double>(mc.write_timeouts));
         emit("master.events_created", static_cast<double>(mc.events_created));
+        // Encoded sizes of the replicated logs, identical on every replica.
+        emit("master.events_resident",
+             static_cast<double>(master_.storage().resident()));
+        emit("master.event_log_bytes",
+             static_cast<double>(master_.storage().log_bytes()));
+        emit("master.historian_bytes",
+             static_cast<double>(master_.historian().bytes()));
       });
 }
 

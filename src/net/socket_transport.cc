@@ -33,6 +33,10 @@ constexpr std::size_t kMaxFragment = 60000;
 constexpr std::size_t kMaxMessage = 64u << 20;
 /// Partial reassemblies older than this are discarded.
 constexpr SimTime kReassemblyTimeout = seconds(10);
+/// What a partial message's map entry, or a fragment waiting past a gap,
+/// holds beyond the bytes it carries (node, bookkeeping), charged to the
+/// reassembly budget with them.
+constexpr std::size_t kReassemblyNodeBytes = 256;
 /// send() flushes the outbox early once this many datagrams are queued, and
 /// one sendmmsg(2) call carries at most this many.
 constexpr std::size_t kMaxSendBatch = 128;
@@ -177,6 +181,8 @@ SocketTransport::SocketTransport(Resolver resolver, SocketOptions options)
              static_cast<double>(stats_.endpoints_detached));
         emit("reassembly_expired",
              static_cast<double>(stats_.reassembly_expired));
+        emit("reassembly_budget_drops",
+             static_cast<double>(stats_.reassembly_budget_drops));
         emit("timers_fired", static_cast<double>(stats_.timers_fired));
         emit("timers_pending", static_cast<double>(timers_pending()));
         emit("rx_batches", static_cast<double>(stats_.rx_batches));
@@ -397,9 +403,10 @@ void SocketTransport::handle_datagram(ByteView datagram) {
   if (frag_count == 1) {
     payload.assign(fragment.begin(), fragment.end());
   } else {
-    auto slot = reassembly_.try_emplace(std::make_tuple(from, msg_id, to)).first;
+    auto [slot, fresh] =
+        reassembly_.try_emplace(std::make_tuple(from, msg_id, to));
     Reassembly& rs = slot->second;
-    if (rs.count == 0) {
+    if (fresh) {
       rs.first_seen = now();
       rs.count = frag_count;
     }
@@ -415,12 +422,26 @@ void SocketTransport::handle_datagram(ByteView datagram) {
       // Duplicate fragment: keep the first copy.
       return;
     }
-    rs.bytes += fragment.size();
-    if (rs.bytes > kMaxMessage) {
+    if (fragment.size() > kMaxMessage - rs.bytes) {
       ++stats_.oversized_drops;
       drop_reassembly(slot);
       return;
     }
+    // A frame header is not authenticated, so what partial messages hold
+    // until they complete or expire comes out of one transport-wide
+    // budget: the fragment's bytes, its node when it waits past a gap, and
+    // the entry and its key when the fragment opens one.
+    std::size_t cost = fragment.size();
+    if (frag_index != rs.next) cost += kReassemblyNodeBytes;
+    if (fresh) cost += kReassemblyNodeBytes + from.size() + to.size();
+    if (cost > kMaxMessage - reassembly_held_) {
+      ++stats_.reassembly_budget_drops;
+      if (fresh) drop_reassembly(slot);
+      return;
+    }
+    rs.held += cost;
+    reassembly_held_ += cost;
+    rs.bytes += fragment.size();
     if (frag_index != rs.next) {
       rs.early.emplace(frag_index, Bytes(fragment.begin(), fragment.end()));
       return;
@@ -597,6 +618,7 @@ void SocketTransport::fire_due_timers() {
 SocketTransport::ReassemblyMap::iterator SocketTransport::drop_reassembly(
     ReassemblyMap::iterator it) {
   reassembly_reserved_ -= it->second.reserved;
+  reassembly_held_ -= it->second.held;
   return reassembly_.erase(it);
 }
 

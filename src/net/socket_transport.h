@@ -76,6 +76,8 @@ struct SocketStats {
   std::uint64_t recv_errors = 0;      ///< hard recvfrom failures
   std::uint64_t endpoints_detached = 0;  ///< detached after repeated failures
   std::uint64_t reassembly_expired = 0;
+  /// Fragments dropped because partial messages held the whole budget.
+  std::uint64_t reassembly_budget_drops = 0;
   std::uint64_t timers_fired = 0;
   std::uint64_t rx_batches = 0;    ///< recvmmsg/recvfrom calls that returned data
   std::uint64_t rx_ring_full = 0;  ///< batched reads that filled the whole ring
@@ -167,6 +169,7 @@ class SocketTransport final : public Transport {
     std::uint16_t next = 0;   ///< fragments [0, next) are in `payload`
     std::size_t bytes = 0;    ///< fragment bytes received so far
     std::size_t reserved = 0; ///< charged to reassembly_reserved_
+    std::size_t held = 0;     ///< charged to reassembly_held_
     Bytes payload;
     std::map<std::uint16_t, Bytes> early;
   };
@@ -193,7 +196,8 @@ class SocketTransport final : public Transport {
   void fire_due_timers();
   /// Erases the cancelled entries of timers_ and re-heapifies it.
   void compact_timers();
-  /// Erases a partial message and hands its reservation back.
+  /// Erases a partial message and hands its reservation and held charge
+  /// back.
   ReassemblyMap::iterator drop_reassembly(ReassemblyMap::iterator it);
   void expire_reassemblies();
 
@@ -224,6 +228,10 @@ class SocketTransport final : public Transport {
   /// most kMaxMessage in all: a frame header is not authenticated, so a
   /// forged first fragment may claim any size.
   std::size_t reassembly_reserved_ = 0;
+  /// What the partial messages hold: fragment bytes plus a fixed overhead
+  /// per entry and per fragment waiting past a gap, at most kMaxMessage in
+  /// all. Past it, a fragment is dropped and counted.
+  std::size_t reassembly_held_ = 0;
   SimTime last_gc_ = 0;
 
   /// RX slots for both read paths; recvfrom reads into slot 0.

@@ -4,28 +4,39 @@
 
 namespace ss::scada {
 
-const BlockLog* Historian::find(ItemId item) const {
+Sample Historian::Series::read(Reader& r, Prior& prior) {
+  Sample sample;
+  sample.quality = static_cast<Quality>(
+      decode_record(r, prior, sample.value, sample.timestamp, nullptr,
+                    static_cast<std::uint8_t>(Quality::kMax)));
+  return sample;
+}
+
+const Historian::Series* Historian::find(ItemId item) const {
   auto it = series_.find(item.value);
   return it == series_.end() ? nullptr : &it->second;
 }
 
 void Historian::record(ItemId item, SimTime timestamp, const Variant& value,
                        Quality quality) {
-  BlockLog& samples =
-      series_.try_emplace(item.value, kBlockBytes).first->second;
-  Writer w(32);
-  Sample::encode(w, timestamp, value, quality);
-  samples.push_back(w.bytes());
+  Series& series = series_[item.value];
+  encoding_.clear();
+  encode_record(encoding_, series.last, value, timestamp, nullptr,
+                static_cast<std::uint8_t>(quality));
+  series.log.push_back(encoding_.bytes());
   ++total_;
-  if (samples.size() > capacity_) samples.pop_front();
+  if (series.log.size() > capacity_) {
+    series.log.pop_front(
+        [&series](Reader& r) { Series::read(r, series.base); });
+  }
 }
 
 std::vector<Sample> Historian::range(ItemId item, SimTime from,
                                      SimTime to) const {
   std::vector<Sample> out;
-  const BlockLog* samples = find(item);
-  if (samples == nullptr) return out;
-  samples->decode_each<Sample>([&](Sample sample) {
+  const Series* series = find(item);
+  if (series == nullptr) return out;
+  series->for_each([&](Sample sample) {
     if (sample.timestamp >= from && sample.timestamp <= to) {
       out.push_back(std::move(sample));
     }
@@ -35,11 +46,19 @@ std::vector<Sample> Historian::range(ItemId item, SimTime from,
 
 std::vector<Sample> Historian::tail(ItemId item, std::size_t n) const {
   std::vector<Sample> out;
-  const BlockLog* samples = find(item);
-  if (samples == nullptr) return out;
-  std::size_t start = samples->size() > n ? samples->size() - n : 0;
-  samples->decode_each<Sample>(
-      [&](Sample sample) { out.push_back(std::move(sample)); }, start);
+  const Series* series = find(item);
+  if (series == nullptr) return out;
+  // Records have no offsets: the skipped head is decoded and dropped.
+  const std::size_t size = series->log.size();
+  std::size_t skip = size > n ? size - n : 0;
+  out.reserve(size - skip);
+  series->for_each([&](Sample sample) {
+    if (skip > 0) {
+      --skip;
+    } else {
+      out.push_back(std::move(sample));
+    }
+  });
   return out;
 }
 
@@ -52,9 +71,9 @@ std::optional<Sample> Historian::latest(ItemId item) const {
 Aggregate Historian::aggregate(ItemId item, SimTime from, SimTime to) const {
   Aggregate agg;
   double sum = 0;
-  const BlockLog* samples = find(item);
-  if (samples == nullptr) return agg;
-  samples->decode_each<Sample>([&](const Sample& sample) {
+  const Series* series = find(item);
+  if (series == nullptr) return agg;
+  series->for_each([&](const Sample& sample) {
     if (sample.timestamp < from || sample.timestamp > to) return;
     if (!sample.value.is_numeric()) return;
     double v = sample.value.as_double();
@@ -71,6 +90,12 @@ Aggregate Historian::aggregate(ItemId item, SimTime from, SimTime to) const {
   return agg;
 }
 
+std::size_t Historian::bytes() const {
+  std::size_t total = 0;
+  for (const auto& [item, series] : series_) total += series.log.bytes();
+  return total;
+}
+
 void Historian::encode(Writer& w) const {
   Pieces pieces;
   encode(pieces);
@@ -80,10 +105,11 @@ void Historian::encode(Writer& w) const {
 void Historian::encode(Pieces& out) const {
   out.writer().varint(total_);
   out.writer().varint(series_.size());
-  for (const auto& [item, samples] : series_) {
+  for (const auto& [item, series] : series_) {
     out.writer().varint(item);
-    out.writer().varint(samples.size());
-    for (ByteView block : samples.blocks()) out.view(block);
+    out.writer().varint(series.log.size());
+    series.base.encode(out.writer(), /*with_op=*/false);
+    for (ByteView block : series.log.blocks()) out.view(block);
   }
 }
 
@@ -93,12 +119,22 @@ void Historian::decode(Reader& r) {
   std::uint64_t n_items = r.varint();
   for (std::uint64_t i = 0; i < n_items; ++i) {
     std::uint32_t item = r.varint32();
+    if (!series_.empty() && item <= series_.rbegin()->first) {
+      throw DecodeError("historian items out of order");
+    }
     std::uint64_t n_samples = r.varint();
-    BlockLog& samples = series_.try_emplace(item, kBlockBytes).first->second;
+    Series& series = series_.try_emplace(series_.end(), item)->second;
+    series.base.decode(r, /*with_op=*/false);
+    // Each sample is read against `read` and written again against
+    // series.last: both move onto the same fields, sample by sample.
+    Prior read = series.base;
+    series.last = series.base;
     for (std::uint64_t j = 0; j < n_samples; ++j) {
-      Writer w(32);
-      Sample::decode(r).encode(w);
-      samples.push_back(w.bytes());
+      const Sample sample = Series::read(r, read);
+      encoding_.clear();
+      encode_record(encoding_, series.last, sample.value, sample.timestamp,
+                    nullptr, static_cast<std::uint8_t>(sample.quality));
+      series.log.push_back(encoding_.bytes());
     }
   }
 }

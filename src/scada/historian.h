@@ -7,9 +7,10 @@
 // archive contents must be byte-identical across replicas, which only works
 // because samples are stamped with the deterministic operation timestamps.
 //
-// Each item's samples are kept in their canonical encoding in a BlockLog of
-// small blocks, freed from the front as the window slides, and decoded only
-// by queries. The logs are exactly the samples' section of the replica
+// Each item's samples are kept encoded in a BlockLog of small blocks, each
+// coded against the sample before it (see block_log.h), freed from the
+// front as the window slides, and decoded from the log's base only by
+// queries. The logs are exactly the samples' section of the replica
 // snapshot, so snapshot() copies them and state_digest() hashes them where
 // they lie.
 #pragma once
@@ -31,9 +32,8 @@ struct Sample {
   Variant value;
   Quality quality = Quality::kGood;
 
-  void encode(Writer& w) const { encode(w, timestamp, value, quality); }
-  static void encode(Writer& w, SimTime timestamp, const Variant& value,
-                     Quality quality) {
+  /// The wire form of a history query's reply.
+  void encode(Writer& w) const {
     w.i64(timestamp);
     value.encode(w);
     w.enumeration(quality);
@@ -78,25 +78,51 @@ class Historian {
 
   std::uint64_t total_samples() const { return total_; }
   std::size_t items_tracked() const { return series_.size(); }
+  /// Encoded bytes of the resident samples, over all items.
+  std::size_t bytes() const;
 
+  /// The total and item count; per item, its id, sample count, base (the
+  /// fields of its last evicted sample, zero while none was) and samples.
   void encode(Writer& w) const;
   /// The same bytes as encode(), with each item's samples as views into its
   /// log (valid until the next record or decode).
   void encode(Pieces& out) const;
-  /// Decodes every sample and stores its canonical re-encoding, so a
-  /// malformed sample throws DecodeError.
+  /// Decodes every sample and stores its canonical re-encoding. Throws
+  /// DecodeError on truncation, on item ids out of order, and on a sample
+  /// or base that decode_record() or Prior::decode() rejects.
   void decode(Reader& r);
 
  private:
-  /// A double sample encodes to 18 bytes: 2 KiB blocks hold about a hundred
-  /// and leave at most two partly used blocks per item.
+  /// A sample of a steadily sampled double takes about 6 bytes: 2 KiB
+  /// blocks hold about three hundred and leave at most two partly used
+  /// blocks per item.
   static constexpr std::size_t kBlockBytes = 2048;
 
-  const BlockLog* find(ItemId item) const;
+  struct Series {
+    BlockLog log{kBlockBytes};
+    /// The fields of the sample before the oldest resident one, and of the
+    /// newest one.
+    Prior base;
+    Prior last;
+
+    /// Decodes the samples from the base and passes each to `f`, oldest
+    /// first.
+    template <typename F>
+    void for_each(F&& f) const {
+      Prior prior = base;
+      log.for_each([&](Reader& r) { f(read(r, prior)); });
+    }
+    /// Reads one sample coded against `prior`.
+    static Sample read(Reader& r, Prior& prior);
+  };
+
+  const Series* find(ItemId item) const;
 
   std::size_t capacity_;
-  std::map<std::uint32_t, BlockLog> series_;
+  std::map<std::uint32_t, Series> series_;
   std::uint64_t total_ = 0;
+  /// Reused by record() for each sample's encoding.
+  Writer encoding_;
 };
 
 }  // namespace ss::scada

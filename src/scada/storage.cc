@@ -33,15 +33,22 @@ Event EventStorage::append(Event event) {
   ++appended_;
 
   // The record goes after the encoding in the same buffer: tag, the
-  // template itself only when the tag is 0, then the tail. tag_for() has
-  // copied a new key out of encoding_ before the buffer grows.
+  // template itself only when the tag is 0, then the tail coded against
+  // the newest record. tag_for() has copied a new key out of encoding_
+  // before the buffer grows.
   const std::uint64_t tag =
       tag_for(chars_of(ByteView(encoding_.bytes()).subspan(head, body - head)));
   encoding_.varint(tag);
   if (tag == 0) event.encode_template(encoding_);
-  event.encode_tail(encoding_);
+  encode_record(encoding_, last_, event.value, event.timestamp, &event.op.value,
+                0);
   log_.push_back(ByteView(encoding_.bytes()).subspan(end));
-  if (retention_ > 0 && log_.size() > retention_) log_.pop_front();
+  if (retention_ > 0 && log_.size() > retention_) {
+    log_.pop_front([this](Reader& r) {
+      Event evicted;
+      read_record(r, base_, evicted, nullptr);
+    });
+  }
   return event;
 }
 
@@ -54,6 +61,19 @@ std::uint64_t EventStorage::tag_for(std::string_view key) {
   return templates_.size();
 }
 
+void EventStorage::read_record(Reader& r, Prior& prior, Event& event,
+                               const std::vector<Event>* heads) {
+  const std::uint64_t tag = read_varint(r);
+  if (tag == 0) {
+    event.decode_template(r);
+  } else if (heads != nullptr) {
+    event = (*heads)[tag - 1];
+  }
+  std::uint64_t op = 0;
+  decode_record(r, prior, event.value, event.timestamp, &op, 0);
+  event.op = OpId{op};
+}
+
 template <typename Keep>
 std::vector<Event> EventStorage::select(Keep keep) const {
   std::vector<Event> heads(templates_.size());
@@ -63,21 +83,13 @@ std::vector<Event> EventStorage::select(Keep keep) const {
   }
   std::vector<Event> out;
   std::uint64_t id = appended_ - log_.size();
-  for (ByteView block : log_.blocks()) {
-    Reader r(block);
-    while (!r.done()) {
-      const std::uint64_t tag = r.varint();
-      Event e;
-      if (tag == 0) {
-        e.decode_template(r);
-      } else {
-        e = heads[tag - 1];
-      }
-      e.decode_tail(r);
-      e.id = EventId{++id};
-      if (keep(e)) out.push_back(std::move(e));
-    }
-  }
+  Prior prior = base_;
+  log_.for_each([&](Reader& r) {
+    Event e;
+    read_record(r, prior, e, &heads);
+    e.id = EventId{++id};
+    if (keep(e)) out.push_back(std::move(e));
+  });
   return out;
 }
 
@@ -109,6 +121,7 @@ void EventStorage::encode(Pieces& out) const {
   if (appended_ == 0) return;
   w.varint(templates_.size());
   for (const std::string* t : templates_) w.raw(bytes_in(*t));
+  base_.encode(w, /*with_op=*/true);
   for (ByteView block : log_.blocks()) out.view(block);
 }
 
@@ -116,6 +129,7 @@ void EventStorage::decode(Reader& r) {
   log_.clear();
   templates_.clear();
   index_.clear();
+  base_ = last_ = Prior{};
   appended_ = r.varint();
   for (auto& b : chain_) b = r.u8();
   const std::uint64_t resident = r.varint();
@@ -137,8 +151,13 @@ void EventStorage::decode(Reader& r) {
       throw DecodeError("duplicate event template");
     }
   }
+  base_.decode(r, /*with_op=*/true);
+  // Each record is read against `read` and written again against last_:
+  // both move onto the same fields, record by record.
+  Prior read = base_;
+  last_ = base_;
   for (std::uint64_t i = 0; i < resident; ++i) {
-    const std::uint64_t tag = r.varint();
+    const std::uint64_t tag = read_varint(r);
     if (tag > templates_.size()) throw DecodeError("event template unknown");
     encoding_.clear();
     encoding_.varint(tag);
@@ -154,8 +173,9 @@ void EventStorage::decode(Reader& r) {
         throw DecodeError("inline event template the table holds");
       }
     }
-    e.decode_tail(r);
-    e.encode_tail(encoding_);
+    std::uint64_t op = 0;
+    decode_record(r, read, e.value, e.timestamp, &op, 0);
+    encode_record(encoding_, last_, e.value, e.timestamp, &op, 0);
     log_.push_back(encoding_.bytes());
   }
 }

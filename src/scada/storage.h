@@ -9,10 +9,12 @@
 // over and over: a Monitor's alarm differs from the last one only in value,
 // timestamp and op. So the storage keeps a table of those distinct templates
 // and stores each resident event as a compact record, back to back in a
-// BlockLog: the template's index, then the value, timestamp and op id (the
-// event id is implied by position). Queries decode on demand. The table and
-// the records are exactly the event section of the replica snapshot, so a
-// snapshot copies the blocks and a state digest hashes them where they lie.
+// BlockLog: the template's index, then the value, timestamp and op id coded
+// against the record before (see block_log.h); the event id is implied by
+// position. Queries decode on demand from the log's base. The table, the
+// base and the records are exactly the event section of the replica
+// snapshot, so a snapshot copies the blocks and a state digest hashes them
+// where they lie.
 #pragma once
 
 #include <cstdint>
@@ -73,22 +75,24 @@ class EventStorage {
   std::size_t log_bytes() const { return log_.bytes(); }
 
   /// The header (appended count, chain digest, resident count); when any
-  /// event was ever appended, the template count and templates, then the
-  /// records. A log that never held an event is the header alone.
+  /// event was ever appended, the template count and templates, the log's
+  /// base (the fields of the last evicted event, zero while none was), then
+  /// the records. A log that never held an event is the header alone.
   void encode(Writer& w) const;
   /// The same bytes as encode(), with the records as views into the log's
   /// blocks (valid until the next append or decode).
   void encode(Pieces& out) const;
-  /// Decodes the templates and records and stores their canonical
-  /// re-encodings, so odd-but-decodable bytes never enter the log. Throws
-  /// DecodeError on truncation, on more resident events than appended, on
-  /// more templates than kMaxTemplates or a duplicate one, on a tag past
-  /// the table, and on an inline template while the table had room or one
-  /// the table already holds.
+  /// Decodes the templates, base and records and stores the records'
+  /// canonical re-encodings, so odd-but-decodable bytes never enter the
+  /// log. Throws DecodeError on truncation, on more resident events than
+  /// appended, on more templates than kMaxTemplates or a duplicate one, on
+  /// a tag past the table, on an inline template while the table had room
+  /// or one the table already holds, and on a record decode_record()
+  /// rejects.
   void decode(Reader& r);
 
  private:
-  /// A Monitor alarm's record is ~20 bytes; 64 KiB blocks keep the
+  /// A Monitor alarm's record is ~8 bytes; 64 KiB blocks keep the
   /// per-block overhead negligible.
   static constexpr std::size_t kBlockBytes = 64 * 1024;
 
@@ -105,9 +109,19 @@ class EventStorage {
   /// Decodes every resident event and keeps those `keep` accepts.
   template <typename Keep>
   std::vector<Event> select(Keep keep) const;
+  /// Reads one record coded against `prior` into `event`: its template
+  /// inline or, when `heads` (the table's templates, decoded) is given,
+  /// from the table, then its value, timestamp and op.
+  static void read_record(Reader& r, Prior& prior, Event& event,
+                          const std::vector<Event>* heads);
 
   std::size_t retention_;
   BlockLog log_{kBlockBytes};
+  /// The fields of the event before the oldest resident one, and of the
+  /// newest one: what the first resident record and the next append code
+  /// against.
+  Prior base_;
+  Prior last_;
   std::uint64_t appended_ = 0;
   crypto::Digest chain_{};
   /// Template encodings by index (a tag k names templates_[k - 1]).

@@ -52,6 +52,15 @@ double Variant::to_double_or_zero() const {
 
 void Variant::encode(Writer& w) const {
   w.enumeration(type());
+  encode_payload(w);
+}
+
+Variant Variant::decode(Reader& r) {
+  return decode_payload(
+      r.enumeration<Type>(static_cast<std::uint64_t>(Type::kMax)), r);
+}
+
+void Variant::encode_payload(Writer& w) const {
   switch (type()) {
     case Type::kNull:
       break;
@@ -70,9 +79,8 @@ void Variant::encode(Writer& w) const {
   }
 }
 
-Variant Variant::decode(Reader& r) {
-  Type t = r.enumeration<Type>(static_cast<std::uint64_t>(Type::kMax));
-  switch (t) {
+Variant Variant::decode_payload(Type type, Reader& r) {
+  switch (type) {
     case Type::kNull:
       return Variant{};
     case Type::kBool:

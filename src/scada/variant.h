@@ -48,8 +48,13 @@ class Variant {
 
   bool operator==(const Variant& other) const { return value_ == other.value_; }
 
+  /// The type, then the payload.
   void encode(Writer& w) const;
   static Variant decode(Reader& r);
+  /// The payload alone (nothing for null): a bool's byte, an int64's or a
+  /// double's 8 bytes, a string's length and bytes.
+  void encode_payload(Writer& w) const;
+  static Variant decode_payload(Type type, Reader& r);
 
   std::string debug_string() const;
 

@@ -54,6 +54,7 @@ void Wal::scan_and_repair() {
 
   const std::size_t pos = collect(*data, recovered_);
   stats_.records_recovered = recovered_.size();
+  for (const Record& rec : recovered_) note_seq(rec.seq);
 
   if (pos < data->size()) {
     // Torn tail: the bytes from `pos` on never became a complete record.
@@ -98,11 +99,24 @@ Bytes Wal::encode_record(std::uint64_t seq, ByteView payload) {
 void Wal::append(std::uint64_t seq, ByteView payload) {
   file_->append(encode_record(seq, payload));
   file_->sync();
+  note_seq(seq);
   drop_recovered();
   ++stats_.appends;
 }
 
+void Wal::note_seq(std::uint64_t seq) {
+  if (!max_seq_.has_value() || seq > *max_seq_) max_seq_ = seq;
+}
+
 void Wal::truncate_through(std::uint64_t through) {
+  if (!max_seq_.has_value()) return;  // the log holds no record
+  if (*max_seq_ <= through) {
+    // The checkpoint covers every record: the log empties, with nothing to
+    // read back.
+    replace_with(ByteView{});
+    max_seq_.reset();
+    return;
+  }
   std::optional<Bytes> data = env_.read_file(path_);
   if (!data.has_value()) return;
   // The kept suffix runs from the first record past `through` to the end
@@ -120,11 +134,15 @@ void Wal::truncate_through(std::uint64_t through) {
     rec = record_at(*data, keep_to);
   }
 
+  replace_with(ByteView(*data).subspan(keep_from, keep_to - keep_from));
+}
+
+void Wal::replace_with(ByteView kept) {
   // Atomic swap: a crash before the rename leaves the old (longer) log, a
   // crash after it leaves the new one; both replay correctly against the
   // checkpoint that triggered the truncation.
   const std::string tmp = path_ + ".tmp";
-  env_.write_file(tmp, ByteView(*data).subspan(keep_from, keep_to - keep_from));
+  env_.write_file(tmp, kept);
   env_.rename_file(tmp, path_);
   env_.sync_dir(dir_);
   file_ = env_.open_append(path_);

@@ -18,8 +18,11 @@
 // leaves either the old or the new log, never a spliced one.
 //
 // The log lives on disk only. The records found at open are held until
-// recovery takes them; after that the Wal keeps no record in memory, and a
-// truncation reads the file back to find the suffix's byte offset.
+// recovery takes them; after that the Wal keeps no record in memory, only
+// the highest seq it holds. A checkpoint normally covers every record, and
+// then the truncation swaps in an empty log without reading the old one;
+// only a real suffix (a checkpoint taken mid-replay) reads the file back to
+// find the suffix's byte offset.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +89,10 @@ class Wal {
   static std::size_t collect(ByteView data, std::vector<Record>& out);
   static Bytes encode_record(std::uint64_t seq, ByteView payload);
   void scan_and_repair();
+  /// Keeps max_seq_ the highest seq the log holds.
+  void note_seq(std::uint64_t seq);
+  /// Swaps `kept` in as the whole log, durably (tmp + rename + dir fsync).
+  void replace_with(ByteView kept);
   /// Frees the records found at open: the log has moved on from them.
   void drop_recovered();
 
@@ -96,6 +103,8 @@ class Wal {
   /// Found at open; held while `recovered_current_`.
   std::vector<Record> recovered_;
   bool recovered_current_ = true;
+  /// The highest seq of the records in the file; nullopt when it holds none.
+  std::optional<std::uint64_t> max_seq_;
   WalStats stats_;
 };
 

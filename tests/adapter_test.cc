@@ -3,9 +3,13 @@
 // snapshot/restore with timer re-arming.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "bft/replica.h"
 #include "core/adapter.h"
 #include "core/requests.h"
+#include "obs/metrics.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
 
@@ -236,6 +240,43 @@ TEST(AdapterTest, QueriesServeLocalState) {
       ClientId{1}, encode_query(QueryKind::kEventCount));
   Reader cr(count_reply);
   EXPECT_EQ(cr.varint(), h.master.storage().size());
+}
+
+/// `field` of the registry source `source` in Registry::json(); -1 when
+/// either is absent.
+double source_metric(const std::string& source, const std::string& field) {
+  const std::string json = obs::Registry::instance().json();
+  const std::size_t at = json.find("\"" + source + "\":{");
+  if (at == std::string::npos) return -1;
+  const std::string key = "\"" + field + "\":";
+  const std::size_t end = json.find('}', at);
+  const std::size_t found = json.find(key, at);
+  if (found == std::string::npos || found > end) return -1;
+  return std::strtod(json.c_str() + found + key.size(), nullptr);
+}
+
+TEST(AdapterTest, RegistryReportsTheReplicatedLogsEncodedSizes) {
+  AdapterHarness h;
+  h.master.handlers(h.item).emplace<scada::MonitorHandler>(
+      scada::MonitorHandler::Condition::kAbove, 10.0);
+  for (std::uint64_t op = 1; op <= 40; ++op) {
+    scada::ItemUpdate update;
+    update.ctx.op = OpId{(std::uint64_t{5} << 40) | op};
+    update.item = h.item;
+    update.value = scada::Variant{1e9 + static_cast<double>(op)};
+    h.adapter.execute_ordered(
+        h.ctx(op, millis(static_cast<SimTime>(op)), 2),
+        CoreRequest::scada(scada::ScadaMessage{update}).encode());
+  }
+  ASSERT_EQ(h.master.storage().resident(), 40u);
+  const std::string source = adapter_principal(ReplicaId{0});
+  EXPECT_EQ(source_metric(source, "master.events_resident"), 40.0);
+  EXPECT_EQ(source_metric(source, "master.event_log_bytes"),
+            static_cast<double>(h.master.storage().log_bytes()));
+  EXPECT_EQ(source_metric(source, "master.historian_bytes"),
+            static_cast<double>(h.master.historian().bytes()));
+  EXPECT_GT(h.master.storage().log_bytes(), 0u);
+  EXPECT_GT(h.master.historian().bytes(), 0u);
 }
 
 TEST(AdapterTest, RestoreReArmsPendingWriteTimers) {

@@ -953,6 +953,54 @@ TEST(Reassembly, ForgedFirstFragmentsReserveABoundedTotal) {
   EXPECT_EQ(received[0], message);
 }
 
+TEST(Reassembly, ForgedFragmentsUnderManyIdsHoldABoundedTotal) {
+  // Each forged datagram is the second fragment of a two-fragment message
+  // under a message id of its own, so it waits past its gap for the whole
+  // reassembly timeout. 1400 of them carry 84 MB; what partial messages
+  // hold is budgeted at one maximal message (64 MiB), and the rest are
+  // dropped and counted instead of held.
+  SS_REQUIRE_HEAP_USAGE();
+  net::Resolver resolver;
+  std::uint16_t port = next_port();
+  resolver.add("bob", net::SocketAddress{"127.0.0.1", port});
+  net::SocketTransport transport(std::move(resolver));
+  std::size_t received = 0;
+  transport.attach("bob", [&](net::Message) { ++received; });
+
+  const Bytes piece(60000, 0xab);
+  auto frame = [&](std::uint64_t msg_id) {
+    Writer w;
+    w.u32(0x53535450);  // "SSTP"
+    w.u8(1);            // version
+    w.u64(msg_id);
+    w.u16(1);  // fragment 1 of 2
+    w.u16(2);
+    w.str("mallory");
+    w.str("bob");
+    w.blob(piece);
+    return std::move(w).take();
+  };
+  constexpr int kForged = 1400;
+  // Four at a time, so even a socket buffer capped at the kernel's default
+  // rmem_max drops none of them.
+  constexpr int kBatch = 4;
+  const std::size_t before = test::heap_in_use();
+  for (int i = 0; i < kForged; i += kBatch) {
+    std::vector<Bytes> frames;
+    for (int k = i; k < i + kBatch; ++k) frames.push_back(frame(5000 + k));
+    const std::uint64_t seen = transport.stats().datagrams_received;
+    blast(port, frames);
+    ASSERT_TRUE(transport.run_until(
+        [&] { return transport.stats().datagrams_received >= seen + kBatch; },
+        seconds(2)));
+  }
+  const std::size_t grown = test::heap_in_use() - before;
+  EXPECT_LT(grown, std::size_t{68} << 20)
+      << "bytes held by " << kForged << " forged fragments";
+  EXPECT_GT(transport.stats().reassembly_budget_drops, 0u);
+  EXPECT_EQ(received, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Socket timers and zero-cost work
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
+#include <limits>
+#include <optional>
+#include <random>
 
 #include "scada/frontend.h"
 #include "scada/handlers.h"
@@ -12,6 +16,7 @@
 #include "scada/messages.h"
 #include "scada/storage.h"
 #include "heap_usage.h"
+#include "record_reference.h"
 
 namespace ss::scada {
 namespace {
@@ -274,11 +279,13 @@ Event distinct_event(int i) {
 }
 
 /// The event log's snapshot section, written from the appended history
-/// alone: the header (appended count, chain digest, resident count); once
-/// anything was appended, the templates in order of first use (at most
-/// kMaxTemplates) and then each resident event as its template's 1-based
-/// index, or 0 and the template inline once the table was full, followed by
-/// value, timestamp and op.
+/// alone (record_reference.h's coder, not the production one): the header
+/// (appended count, chain digest, resident count); once anything was
+/// appended, the templates in order of first use (at most kMaxTemplates),
+/// the base (the fields of the last evicted event), and then each resident
+/// event as its template's 1-based index, or 0 and the template inline once
+/// the table was full, followed by its value, timestamp and op coded
+/// against the event before it.
 class ReferenceLog {
  public:
   explicit ReferenceLog(std::size_t retention) : retention_(retention) {}
@@ -297,7 +304,12 @@ class ReferenceLog {
       table_.push_back(std::move(t));
     }
     resident_.push_back(std::move(e));
-    if (retention_ > 0 && resident_.size() > retention_) resident_.pop_front();
+    if (retention_ > 0 && resident_.size() > retention_) {
+      const Event& evicted = resident_.front();
+      base_ = reference::before_of(evicted.value, evicted.timestamp,
+                                   evicted.op.value);
+      resident_.pop_front();
+    }
   }
 
   Bytes encode() const {
@@ -308,6 +320,8 @@ class ReferenceLog {
     if (appended_ == 0) return std::move(w).take();
     w.varint(table_.size());
     for (const Bytes& t : table_) w.raw(t);
+    reference::write_base(w, base_, /*with_op=*/true);
+    reference::Before before = base_;
     for (const Event& e : resident_) {
       const Bytes t = template_of(e);
       auto it = std::find(table_.begin(), table_.end(), t);
@@ -317,9 +331,7 @@ class ReferenceLog {
         w.varint(0);
         w.raw(t);
       }
-      e.value.encode(w);
-      w.i64(e.timestamp);
-      w.id(e.op);
+      reference::write_fields(w, before, e.value, e.timestamp, &e.op.value, 0);
     }
     return std::move(w).take();
   }
@@ -345,6 +357,7 @@ class ReferenceLog {
   crypto::Digest chain_{};
   std::vector<Bytes> table_;
   std::deque<Event> resident_;
+  reference::Before base_;
 };
 
 Bytes encoded(const EventStorage& storage) {
@@ -424,6 +437,116 @@ TEST_P(StorageLog, DecodeRestoresTheSameLog) {
 
 INSTANTIATE_TEST_SUITE_P(Retention, StorageLog, ::testing::Values(0u, 4u));
 
+/// The events' own encodings: Event equality would call a NaN value
+/// different from itself.
+Bytes encodings(const std::vector<Event>& events) {
+  Writer w;
+  for (const Event& e : events) e.encode(w);
+  return std::move(w).take();
+}
+
+/// What the coder is fed at its edges: a value of any kind or extreme, a
+/// timestamp that steps back or jumps to SimTime's limits, and an op that is
+/// mostly the Frontend's form but may wrap around 2^64 or be any 64 bits.
+struct RandomEvents {
+  explicit RandomEvents(std::uint64_t seed) : rng(seed) {}
+
+  Event next() {
+    Event e;
+    const std::uint64_t which = rng() % 6;
+    e.item = ItemId{static_cast<std::uint32_t>(1 + which % 3)};
+    e.severity = static_cast<Severity>(which % 4);
+    e.code = "C" + std::to_string(which);
+    e.value = reference::random_value(rng);
+    switch (rng() % 12) {
+      case 0:
+        e.timestamp = std::numeric_limits<SimTime>::min();
+        break;
+      case 1:
+        e.timestamp = std::numeric_limits<SimTime>::max();
+        break;
+      case 2:
+        now -= static_cast<SimTime>(rng() % 5000000);
+        e.timestamp = now;
+        break;
+      default:
+        now += rng() % 3 == 0 ? static_cast<SimTime>(rng() % 2000000) : 0;
+        e.timestamp = now;
+    }
+    switch (rng() % 10) {
+      case 0:
+        op = ~std::uint64_t{0} - rng() % 3;  // about to wrap
+        break;
+      case 1:
+        op = rng();
+        break;
+      default:
+        ++op;
+    }
+    e.op = OpId{op};
+    return e;
+  }
+
+  std::mt19937_64 rng;
+  SimTime now = seconds(5);
+  std::uint64_t op = std::uint64_t{0x1a} << 40;
+};
+
+/// An event record's size in the plain form the log had before records
+/// were coded: tag, value, an 8-byte timestamp, the op's varint.
+std::size_t plain_record_size(const Event& e) {
+  Writer w;
+  w.varint(1);  // RandomEvents' six templates all take one-byte tags
+  e.value.encode(w);
+  w.i64(e.timestamp);
+  w.id(e.op);
+  return w.size();
+}
+
+class StorageProperty : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StorageProperty, RandomRecordsMatchTheReferenceAndRoundTrip) {
+  const std::size_t retention = GetParam();
+  EventStorage storage(retention);
+  ReferenceLog reference(retention);
+  EventStorage unlimited;  // measures each record's size
+  // Decoded from the section halfway through, then fed the same events:
+  // it must go on evicting and coding exactly as the original does.
+  std::optional<EventStorage> restored;
+  RandomEvents events(retention + 17);
+  for (int i = 0; i < 3000; ++i) {
+    const Event e = events.next();
+    const std::size_t bytes_before = unlimited.log_bytes();
+    unlimited.append(e);
+    ASSERT_LE(unlimited.log_bytes() - bytes_before, plain_record_size(e) + 1)
+        << "event " << i;
+    storage.append(e);
+    reference.append(e);
+    if (restored) restored->append(e);
+    if (i % 97 != 0) continue;
+    const Bytes section = encoded(storage);
+    ASSERT_EQ(section, reference.encode()) << "after event " << i;
+    constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+    constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+    const std::vector<Event> all = storage.query_range(kMin, kMax);
+    ASSERT_EQ(encodings(all), encodings(reference.resident()));
+    EventStorage decoded(retention);
+    Reader r(section);
+    decoded.decode(r);
+    ASSERT_TRUE(r.done());
+    ASSERT_EQ(encoded(decoded), section);
+    if (restored) {
+      ASSERT_EQ(encoded(*restored), section) << "after event " << i;
+    } else if (i >= 1500) {
+      restored.emplace(std::move(decoded));
+    }
+  }
+  ASSERT_TRUE(restored.has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(Retention, StorageProperty,
+                         ::testing::Values(0u, 1u, 4u));
+
 TEST(Storage, DecodeRejectsTruncatedEvent) {
   EventStorage storage;
   storage.append(sized_event(1));
@@ -435,11 +558,19 @@ TEST(Storage, DecodeRejectsTruncatedEvent) {
   EXPECT_THROW(restored.decode(r), DecodeError);
 }
 
+/// The base of a log that never evicted: every field zero.
+Bytes zero_base(bool with_op = true) {
+  Writer w;
+  reference::write_base(w, reference::Before{}, with_op);
+  return std::move(w).take();
+}
+
 /// An event section built by hand: the header, then (unless `appended` is
-/// 0) `templates` and `records`, each already encoded.
+/// 0) `templates`, the base and `records`, each already encoded.
 Bytes event_section(std::uint64_t appended, std::uint64_t resident,
                     const std::vector<Bytes>& templates,
-                    const std::vector<Bytes>& records) {
+                    const std::vector<Bytes>& records,
+                    const Bytes& base = zero_base()) {
   Writer w;
   w.varint(appended);
   w.raw(ByteView(crypto::Digest{}));
@@ -447,6 +578,7 @@ Bytes event_section(std::uint64_t appended, std::uint64_t resident,
   if (appended > 0) {
     w.varint(templates.size());
     for (const Bytes& t : templates) w.raw(t);
+    w.raw(base);
     for (const Bytes& r : records) w.raw(r);
   }
   return std::move(w).take();
@@ -458,11 +590,14 @@ Bytes template_bytes(int i) {
   return std::move(w).take();
 }
 
+/// distinct_event(0)'s record, coded against a zero base.
 Bytes record_bytes(std::uint64_t tag, const Bytes& inline_template = {}) {
   Writer w;
   w.varint(tag);
   w.raw(inline_template);
-  distinct_event(0).encode_tail(w);
+  const Event e = distinct_event(0);
+  reference::Before before;
+  reference::write_fields(w, before, e.value, e.timestamp, &e.op.value, 0);
   return std::move(w).take();
 }
 
@@ -524,20 +659,22 @@ TEST(Storage, DecodeRejectsMalformedSections) {
   EXPECT_NO_THROW(decode_section(empty));
 }
 
-TEST(Storage, CorruptedSectionsThrowOrDecodeToACanonicalLog) {
-  // A state transfer's snapshot comes from a peer that may be Byzantine:
-  // every single-bit flip of a valid section either throws DecodeError or
-  // leaves a log that re-encodes to a fixpoint and answers queries.
-  EventStorage storage;
-  for (int i = 0; i < 4; ++i) storage.append(distinct_event(i));
-  for (int i = 0; i < 4; ++i) storage.append(distinct_event(i % 2));
-  const Bytes section = encoded(storage);
+/// Flips every bit of `section` in turn and decodes the result into a fresh
+/// T: each flip either throws DecodeError or leaves a T that re-encodes to
+/// a fixpoint and passes `answers`. Returns how many flips decoded.
+template <typename T, typename Answers>
+int flip_every_bit(const Bytes& section, Answers answers) {
+  auto encode = [](const T& t) {
+    Writer w;
+    t.encode(w);
+    return std::move(w).take();
+  };
   int decoded = 0;
   for (std::size_t at = 0; at < section.size(); ++at) {
     for (int bit = 0; bit < 8; ++bit) {
       Bytes bytes = section;
       bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
-      EventStorage restored;
+      T restored;
       Reader r(bytes);
       try {
         restored.decode(r);
@@ -545,17 +682,202 @@ TEST(Storage, CorruptedSectionsThrowOrDecodeToACanonicalLog) {
         continue;
       }
       ++decoded;
-      const Bytes again = encoded(restored);
-      EventStorage twice;
+      const Bytes again = encode(restored);
+      T twice;
       Reader r2(again);
       twice.decode(r2);
       EXPECT_TRUE(r2.done()) << at << ":" << bit;
-      EXPECT_EQ(encoded(twice), again) << at << ":" << bit;
-      EXPECT_EQ(restored.query_severity(Severity::kInfo).size(),
-                restored.resident());
+      EXPECT_EQ(encode(twice), again) << at << ":" << bit;
+      answers(restored);
     }
   }
-  EXPECT_GT(decoded, 0);
+  return decoded;
+}
+
+Bytes double_bytes(double d) {
+  Writer w;
+  w.f64(d);
+  return std::move(w).take();
+}
+
+/// An event record for template 1: the type byte, then the value, timestamp
+/// and op bytes as given.
+Bytes event_record(std::uint8_t type, const Bytes& value, const Bytes& time,
+                   const Bytes& op) {
+  Bytes r{0x01, type};
+  for (const Bytes* part : {&value, &time, &op}) {
+    r.insert(r.end(), part->begin(), part->end());
+  }
+  return r;
+}
+
+Bytes base_bytes(std::uint8_t kind, std::uint64_t bits, const Bytes& op) {
+  Writer w;
+  w.u8(kind);
+  if (kind == 2 || kind == 3) w.u64(bits);
+  w.i64(0);
+  w.raw(op);
+  return std::move(w).take();
+}
+
+/// A historian section built by hand: per item its id, sample count, base
+/// and sample bytes.
+struct SeriesBytes {
+  std::uint32_t item;
+  std::uint64_t samples;
+  Bytes base;
+  Bytes records;
+};
+Bytes historian_section(const std::vector<SeriesBytes>& series) {
+  Writer w;
+  w.varint(series.size());
+  w.varint(series.size());
+  for (const SeriesBytes& s : series) {
+    w.varint(s.item);
+    w.varint(s.samples);
+    w.raw(s.base);
+    w.raw(s.records);
+  }
+  return std::move(w).take();
+}
+
+void decode_historian(const Bytes& bytes) {
+  Historian historian;
+  Reader r(bytes);
+  historian.decode(r);
+  r.expect_done();
+}
+
+TEST(Storage, CorruptedSectionsThrowOrDecodeToACanonicalLog) {
+  // A state transfer's snapshot comes from a peer that may be Byzantine:
+  // every single-bit flip of a valid section either throws DecodeError or
+  // leaves a log that re-encodes to a fixpoint and answers queries.
+  EventStorage storage;
+  for (int i = 0; i < 4; ++i) storage.append(distinct_event(i));
+  for (int i = 0; i < 4; ++i) storage.append(distinct_event(i % 2));
+  // An evicting log of mixed kinds: a numeric base and coded values.
+  EventStorage evicting(3);
+  const Variant values[] = {Variant{2.5}, Variant{std::int64_t{-7}},
+                            Variant{std::int64_t{9}}, Variant{std::string("s")},
+                            Variant{2.75}, Variant{3.0}};
+  for (int i = 0; i < 6; ++i) {
+    Event e = distinct_event(i % 2);
+    e.value = values[i];
+    e.op = OpId{(std::uint64_t{3} << 40) | static_cast<std::uint64_t>(i)};
+    evicting.append(e);
+  }
+  for (const EventStorage* log : {&storage, &evicting}) {
+    EXPECT_GT(flip_every_bit<EventStorage>(
+                  encoded(*log),
+                  [](const EventStorage& restored) {
+                    EXPECT_EQ(restored.query_severity(Severity::kInfo).size(),
+                              restored.resident());
+                  }),
+              0);
+  }
+
+  // The historian's section likewise, with evicted samples of every kind.
+  Historian historian(3);
+  const Variant samples[] = {
+      Variant{},       Variant{true},          Variant{1.5},
+      Variant{1.75},   Variant{std::int64_t{40}}, Variant{std::int64_t{41}},
+      Variant{std::string("x")}, Variant{-0.0}};
+  for (int i = 0; i < 8; ++i) {
+    historian.record(ItemId{static_cast<std::uint32_t>(1 + i % 2)}, millis(i),
+                     samples[i], static_cast<Quality>(i % 4));
+  }
+  Writer hw;
+  historian.encode(hw);
+  auto answers = [](const Historian& restored) {
+    for (std::uint32_t id : {1u, 2u}) {
+      EXPECT_LE(restored.tail(ItemId{id}, 9).size(), 9u);
+    }
+  };
+  EXPECT_GT(flip_every_bit<Historian>(hw.bytes(), answers), 0);
+
+  // The record form's own failure modes, one byte off a well-formed
+  // section each.
+  const std::vector<Bytes> one{template_bytes(0)};
+  const Bytes one_0 = double_bytes(1.0);
+  auto events = [&](const Bytes& record, const Bytes& base = zero_base()) {
+    return event_section(1, 1, one, {record}, base);
+  };
+  EXPECT_NO_THROW(decode_section(events(event_record(0x33, one_0, {0}, {2}))));
+  // A value kind past string, and bits 6-7 set on an event.
+  EXPECT_THROW(decode_section(events(event_record(0x35, {}, {0}, {2}))),
+               DecodeError);
+  EXPECT_THROW(decode_section(events(event_record(0x73, one_0, {0}, {2}))),
+               DecodeError);
+  // A coded value whose predecessor is not of its kind.
+  EXPECT_THROW(decode_section(events(event_record(0x3b, {0, 0}, {0}, {2}))),
+               DecodeError);
+  EXPECT_THROW(decode_section(events(event_record(0x3a, {0}, {0}, {2}),
+                                     base_bytes(3, 0, {0}))),
+               DecodeError);
+  // A double's shift of 63 decodes, one past it does not.
+  const std::uint64_t one_bits = std::bit_cast<std::uint64_t>(1.0);
+  EXPECT_NO_THROW(decode_section(events(event_record(0x3b, {63, 1}, {0}, {2}),
+                                        base_bytes(3, one_bits, {0}))));
+  EXPECT_THROW(decode_section(events(event_record(0x3b, {64, 1}, {0}, {2}),
+                                     base_bytes(3, one_bits, {0}))),
+               DecodeError);
+  // Overlong varints: a timestamp step, a tag, a base's op.
+  EXPECT_THROW(
+      decode_section(events(event_record(0x33, one_0, {0x80, 0}, {2}))),
+      DecodeError);
+  Bytes overlong_tag = event_record(0x33, one_0, {0}, {2});
+  overlong_tag[0] = 0x81;
+  overlong_tag.insert(overlong_tag.begin() + 1, 0x00);
+  EXPECT_THROW(decode_section(events(overlong_tag)), DecodeError);
+  EXPECT_THROW(decode_section(events(event_record(0x33, one_0, {0}, {2}),
+                                     base_bytes(0, 0, {0x80, 0x00}))),
+               DecodeError);
+  // A varint of 2^64 - 1 decodes; one bit past 64 does not.
+  const Bytes max64{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
+  Bytes past64 = max64;
+  past64.back() = 0x02;
+  EXPECT_NO_THROW(
+      decode_section(events(event_record(0x13, one_0, {0}, max64))));
+  EXPECT_THROW(decode_section(events(event_record(0x13, one_0, {0}, past64))),
+               DecodeError);
+  // A base whose kind is neither null, int64 nor double, or cut short.
+  EXPECT_THROW(decode_section(events(event_record(0x33, one_0, {0}, {2}),
+                                     base_bytes(1, 0, {0}))),
+               DecodeError);
+  Bytes short_base = event_section(1, 0, one, {});
+  short_base.pop_back();
+  EXPECT_THROW(decode_section(short_base), DecodeError);
+
+  // The historian's: items out of order or twice, an op flag on a sample,
+  // a base with a string's kind, a shift past 63.
+  const Bytes sample{0x13, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0x00};  // 1.0 at 0
+  const Bytes zero = zero_base(/*with_op=*/false);
+  EXPECT_NO_THROW(decode_historian(
+      historian_section({{1, 1, zero, sample}, {2, 1, zero, sample}})));
+  EXPECT_THROW(decode_historian(historian_section(
+                   {{2, 1, zero, sample}, {1, 1, zero, sample}})),
+               DecodeError);
+  EXPECT_THROW(decode_historian(historian_section(
+                   {{1, 1, zero, sample}, {1, 1, zero, sample}})),
+               DecodeError);
+  Bytes with_op = sample;
+  with_op[0] |= 0x20;
+  EXPECT_THROW(decode_historian(historian_section({{1, 1, zero, with_op}})),
+               DecodeError);
+  Bytes string_base = zero;
+  string_base[0] = 4;
+  EXPECT_THROW(
+      decode_historian(historian_section({{1, 1, string_base, sample}})),
+      DecodeError);
+  Writer double_base;
+  double_base.u8(3);
+  double_base.u64(one_bits);
+  double_base.i64(0);
+  EXPECT_NO_THROW(decode_historian(
+      historian_section({{1, 1, double_base.bytes(), {0x1b, 63, 1, 0}}})));
+  EXPECT_THROW(decode_historian(historian_section(
+                   {{1, 1, double_base.bytes(), {0x1b, 64, 1, 0}}})),
+               DecodeError);
 }
 
 TEST(StorageFootprint, MonitorEventsStayCompact) {
@@ -569,14 +891,21 @@ TEST(StorageFootprint, MonitorEventsStayCompact) {
     e.severity = Severity::kAlarm;
     e.code = "MONITOR_TRIGGER";
     e.message = "monitor condition met on item plant/reactor/temperature";
+    // As the replicated Master sees the alarm workload: the Frontend's op
+    // ids (its instance in the top bits, a counter below), and one
+    // agreement timestamp per batch of a few requests, about a millisecond
+    // apart.
+    const std::uint64_t instance = std::uint64_t{0x2f1} << 40;
+    SimTime batch_time = seconds(3);
     for (int k = 0; k < kEvents; ++k) {
+      if (k % 5 == 0) batch_time += millis(1) + (k * 7919) % 50000;
       e.value = Variant{1e9 + k};
-      e.timestamp = static_cast<SimTime>(k + 1) * 1000;
-      e.op = OpId{static_cast<std::uint64_t>(k + 1)};
+      e.timestamp = batch_time;
+      e.op = OpId{instance | static_cast<std::uint64_t>(k + 1)};
       storage.append(e);
     }
     const std::size_t used = test::heap_in_use() - before;
-    EXPECT_LE(used, 32u * kEvents) << used / kEvents << " bytes per event";
+    EXPECT_LE(used, 12u * kEvents) << used / kEvents << " bytes per event";
   }
 }
 
@@ -1169,6 +1498,68 @@ TEST_P(MasterState, StateDigestHashesTheSnapshotWithInlineTemplates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Retention, MasterState, ::testing::Values(0u, 4u));
+
+/// (event retention, historian capacity)
+class MasterProperty
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {
+ protected:
+  /// A deterministic master whose two items raise an alarm on every
+  /// numeric value but NaN (one Monitor above -inf, one below +inf).
+  std::unique_ptr<ScadaMaster> make_master() const {
+    MasterOptions options;
+    options.deterministic = true;
+    options.storage_retention = GetParam().first;
+    options.historian_capacity = GetParam().second;
+    auto master = std::make_unique<ScadaMaster>(std::move(options));
+    const double inf = std::numeric_limits<double>::infinity();
+    master->handlers(master->add_item("a"))
+        .emplace<MonitorHandler>(MonitorHandler::Condition::kAbove, -inf);
+    master->handlers(master->add_item("b"))
+        .emplace<MonitorHandler>(MonitorHandler::Condition::kBelow, inf);
+    return master;
+  }
+};
+
+TEST_P(MasterProperty, SnapshotRestoreSnapshotIsByteIdentical) {
+  auto master = make_master();
+  std::unique_ptr<ScadaMaster> restored;
+  RandomEvents random(GetParam().first * 31 + GetParam().second);
+  for (int i = 0; i < 2000; ++i) {
+    const Event e = random.next();
+    ItemUpdate update;
+    update.item = ItemId{static_cast<std::uint32_t>(1 + i % 2)};  // a, b
+    update.value = e.value;
+    update.quality = static_cast<Quality>(i % 4);
+    MsgContext ctx;
+    ctx.op = e.op;
+    ctx.timestamp = e.timestamp;
+    master->handle(ScadaMessage{update}, ctx, "frontend");
+    if (restored) restored->handle(ScadaMessage{update}, ctx, "frontend");
+    if (i % 50 != 49) continue;
+    const Bytes snap = master->snapshot();
+    ASSERT_EQ(master->state_digest(), crypto::Sha256::hash(snap)) << i;
+    auto copy = make_master();
+    copy->restore(snap);
+    ASSERT_EQ(copy->snapshot(), snap) << i;
+    ASSERT_EQ(copy->state_digest(), master->state_digest()) << i;
+    // A master restored earlier and fed the same updates since agrees.
+    if (restored) {
+      ASSERT_EQ(restored->snapshot(), snap) << i;
+    } else if (i >= 1000) {
+      restored = std::move(copy);
+    }
+  }
+  ASSERT_NE(restored, nullptr);
+  EXPECT_GT(master->storage().size(), 1000u);
+  EXPECT_EQ(master->historian().total_samples(), 2000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RetentionAndCapacity, MasterProperty,
+    ::testing::Values(std::make_pair(std::size_t{1}, std::size_t{1}),
+                      std::make_pair(std::size_t{4}, std::size_t{3}),
+                      std::make_pair(std::size_t{1}, std::size_t{4096}),
+                      std::make_pair(std::size_t{4}, std::size_t{4096})));
 
 TEST(Master, DeterministicTimestampsVsLocalClock) {
   // Two baseline masters with skewed clocks diverge on event timestamps —

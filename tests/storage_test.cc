@@ -4,7 +4,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -224,6 +227,182 @@ TEST(WalFootprint, AppendsKeepNoRecordInMemory) {
   EXPECT_LE(used, file_growth + 64 * 1024)
       << (used - file_growth) / kAppends << " bytes per record beyond the file";
   EXPECT_EQ(wal.stats().appends, kAppends);
+}
+
+/// Forwards to a MemEnv and samples the heap in use around every call, so a
+/// test can bound what an operation holds at its peak (a buffer read back
+/// is live until the calls after the read).
+class HeapProbeEnv final : public Env {
+ public:
+  explicit HeapProbeEnv(MemEnv& env) : env_(env) {}
+
+  std::size_t peak() const { return peak_; }
+  void reset_peak() { peak_ = test::heap_in_use(); }
+
+  std::optional<Bytes> read_file(const std::string& path) const override {
+    std::optional<Bytes> data = env_.read_file(path);
+    sample();
+    return data;
+  }
+  void write_file(const std::string& path, ByteView data) override {
+    sample();
+    env_.write_file(path, data);
+    sample();
+  }
+  void write_file(const std::string& path, const Pieces& data) override {
+    sample();
+    env_.write_file(path, data);
+    sample();
+  }
+  std::unique_ptr<AppendFile> open_append(const std::string& path) override {
+    sample();
+    auto file = env_.open_append(path);
+    sample();
+    return file;
+  }
+  void rename_file(const std::string& from, const std::string& to) override {
+    sample();
+    env_.rename_file(from, to);
+    sample();
+  }
+  void sync_dir(const std::string& dir) override {
+    sample();
+    env_.sync_dir(dir);
+  }
+  void remove_file(const std::string& path) override { env_.remove_file(path); }
+  bool file_exists(const std::string& path) const override {
+    return env_.file_exists(path);
+  }
+  void truncate_file(const std::string& path, std::size_t size) override {
+    env_.truncate_file(path, size);
+  }
+  void create_dirs(const std::string& dir) override { env_.create_dirs(dir); }
+
+ private:
+  void sample() const { peak_ = std::max(peak_, test::heap_in_use()); }
+
+  MemEnv& env_;
+  mutable std::size_t peak_ = 0;
+};
+
+TEST(WalFootprint, TruncatingACoveredLogReadsNothingBack) {
+  // A checkpoint normally covers every record the log holds; the log then
+  // empties without being read back into memory.
+  SS_REQUIRE_HEAP_USAGE();
+  MemEnv mem;
+  HeapProbeEnv env(mem);
+  Wal wal(env, "d");
+  const Bytes payload(1024, 0x5a);
+  for (std::uint64_t seq = 1; seq <= 1024; ++seq) wal.append(seq, payload);
+  ASSERT_GT(mem.raw("d/wal")->size(), std::size_t{1} << 20);
+  const std::size_t before = test::heap_in_use();
+  env.reset_peak();
+  wal.truncate_through(1024);
+  const std::size_t grown = env.peak() > before ? env.peak() - before : 0;
+  EXPECT_LT(grown, 16u * 1024) << "bytes at the peak of the truncation";
+  EXPECT_TRUE(wal.records().empty());
+  EXPECT_EQ(wal.stats().truncations, 1u);
+  // The emptied log takes appends and truncates as before.
+  wal.append(1025, payload);
+  wal.truncate_through(1024);
+  EXPECT_EQ(wal.records().size(), 1u);
+  EXPECT_EQ(wal.stats().truncations, 1u);
+}
+
+/// Forwards to a MemEnv and keeps, before and after every call that
+/// changes a file, the disk a `kill -9` at that moment would leave.
+class CrashPointEnv final : public Env {
+ public:
+  explicit CrashPointEnv(MemEnv& env) : env_(env) {}
+
+  std::vector<MemEnv> images;
+
+  std::optional<Bytes> read_file(const std::string& path) const override {
+    return env_.read_file(path);
+  }
+  void write_file(const std::string& path, ByteView data) override {
+    around([&] { env_.write_file(path, data); });
+  }
+  void write_file(const std::string& path, const Pieces& data) override {
+    around([&] { env_.write_file(path, data); });
+  }
+  std::unique_ptr<AppendFile> open_append(const std::string& path) override {
+    std::unique_ptr<AppendFile> file;
+    around([&] { file = env_.open_append(path); });
+    return file;
+  }
+  void rename_file(const std::string& from, const std::string& to) override {
+    around([&] { env_.rename_file(from, to); });
+  }
+  void sync_dir(const std::string& dir) override {
+    around([&] { env_.sync_dir(dir); });
+  }
+  void remove_file(const std::string& path) override {
+    around([&] { env_.remove_file(path); });
+  }
+  bool file_exists(const std::string& path) const override {
+    return env_.file_exists(path);
+  }
+  void truncate_file(const std::string& path, std::size_t size) override {
+    around([&] { env_.truncate_file(path, size); });
+  }
+  void create_dirs(const std::string& dir) override { env_.create_dirs(dir); }
+
+ private:
+  template <typename F>
+  void around(F&& step) {
+    capture();
+    step();
+    capture();
+  }
+  void capture() {
+    MemEnv image = env_;
+    image.drop_unsynced();
+    images.push_back(std::move(image));
+  }
+
+  MemEnv& env_;
+};
+
+std::vector<std::uint64_t> seqs_after_crash(MemEnv& image) {
+  Wal reopened(image, "d");
+  std::vector<std::uint64_t> seqs;
+  for (const Wal::Record& r : reopened.records()) seqs.push_back(r.seq);
+  return seqs;
+}
+
+TEST(Wal, EveryStepOfATruncationLeavesTheOldOrTheNewLogAfterACrash) {
+  const std::vector<std::uint64_t> all{1, 2, 3, 4, 5};
+  // through = 5 covers every record (the log empties without a read);
+  // through = 3 leaves a real suffix.
+  for (const auto& [through, kept] :
+       {std::make_pair(std::uint64_t{5}, std::vector<std::uint64_t>{}),
+        std::make_pair(std::uint64_t{3}, std::vector<std::uint64_t>{4, 5})}) {
+    MemEnv mem;
+    {
+      Wal wal(mem, "d");
+      for (std::uint64_t seq : all) wal.append(seq, payload_of("r"));
+    }
+    CrashPointEnv env(mem);
+    Wal wal(env, "d");
+    env.images.clear();
+    wal.truncate_through(through);
+    // Write the new log, rename it into place, sync the directory, reopen.
+    ASSERT_GE(env.images.size(), 8u) << through;
+    bool saw_old = false;
+    bool saw_new = false;
+    for (MemEnv& image : env.images) {
+      const std::vector<std::uint64_t> seqs = seqs_after_crash(image);
+      saw_old |= seqs == all;
+      saw_new |= seqs == kept;
+      EXPECT_TRUE(seqs == all || seqs == kept) << through;
+    }
+    EXPECT_TRUE(saw_old && saw_new) << through;
+    wal.append(6, payload_of("r"));
+    std::vector<std::uint64_t> after = kept;
+    after.push_back(6);
+    EXPECT_EQ(seqs_after_crash(mem), after) << through;
+  }
 }
 
 // --- checkpoints -----------------------------------------------------------
