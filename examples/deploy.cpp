@@ -78,6 +78,7 @@
 #include "net/resolver.h"
 #include "net/socket_transport.h"
 #include "obs/metrics.h"
+#include "obs/process.h"
 #include "obs/trace.h"
 #include "rtu/driver.h"
 #include "rtu/rtu.h"
@@ -271,6 +272,8 @@ void setup_observability(net::SocketTransport& transport,
   obs::Tracer::instance().set_clock([&transport] { return transport.now(); });
   obs::FlightRecorder::instance().capture_logs();
   install_crash_handlers();
+  // Every dump reports what this role costs in memory (obs/process.h).
+  static const obs::SourceHandle process_source = obs::add_process_source();
 
   schedule_every(transport, millis(250), [tag] {
     if (g_snapshot) {

@@ -22,14 +22,16 @@ std::optional<Bytes> read_whole_file(const std::string& path) {
     throw_errno("open", path);
   }
   // Sized from fstat plus one byte, so a file that does not change while it
-  // is read needs no buffer growth to see its end.
+  // is read needs no buffer growth to see its end. A file that reports no
+  // size (procfs) starts at one page. A full buffer doubles, by at most
+  // kReadChunk: a 1 KiB procfs read never zero-fills 64 KiB of heap.
   struct stat st{};
   Bytes out(::fstat(fd, &st) == 0 && st.st_size > 0
                 ? static_cast<std::size_t>(st.st_size) + 1
-                : 1);
+                : 4096);
   std::size_t size = 0;
   for (;;) {
-    if (size == out.size()) out.resize(size + kReadChunk);
+    if (size == out.size()) out.resize(size + std::min(size, kReadChunk));
     const ssize_t n = ::read(fd, out.data() + size,
                              std::min(out.size() - size, kReadChunk));
     if (n < 0) {

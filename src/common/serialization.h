@@ -196,15 +196,20 @@ class Reader {
     return v == 1;
   }
 
+  /// An LEB128 varint in the one form Writer::varint writes: throws
+  /// DecodeError when it is overlong (a zero last byte after the first) or
+  /// does not fit 64 bits (a 10th byte above 1), so a value has one byte
+  /// form on the wire and in a snapshot.
   std::uint64_t varint() {
     std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (shift >= 64) throw DecodeError("varint overflow");
-      std::uint8_t b = u8();
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t b = u8();
+      if (shift == 63 && b > 1) throw DecodeError("varint overflow");
       v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
+      if ((b & 0x80) == 0) {
+        if (b == 0 && shift > 0) throw DecodeError("overlong varint");
+        return v;
+      }
     }
   }
 

@@ -38,19 +38,6 @@ std::uint64_t bits_of(const Variant& value) {
 
 }  // namespace
 
-std::uint64_t read_varint(Reader& r) {
-  std::uint64_t v = 0;
-  for (int shift = 0;; shift += 7) {
-    const std::uint8_t b = r.u8();
-    if (shift == 63 && b > 1) throw DecodeError("varint overflow");
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      if (b == 0 && shift > 0) throw DecodeError("overlong varint");
-      return v;
-    }
-  }
-}
-
 void Prior::encode(Writer& w, bool with_op) const {
   w.u8(static_cast<std::uint8_t>(kind));
   if (numeric(kind)) w.u64(bits);
@@ -65,7 +52,7 @@ void Prior::decode(Reader& r, bool with_op) {
   }
   bits = numeric(kind) ? r.u64() : 0;
   timestamp = r.i64();
-  op = with_op ? read_varint(r) : 0;
+  op = with_op ? r.varint() : 0;
 }
 
 void encode_record(Writer& w, Prior& prior, const Variant& value,
@@ -145,20 +132,20 @@ std::uint8_t decode_record(Reader& r, Prior& prior, Variant& value,
       const std::uint8_t shift = r.u8();
       if (shift > 63) throw DecodeError("double shift past 63");
       value = Variant{std::bit_cast<double>(prior.bits ^
-                                            (read_varint(r) << shift))};
+                                            (r.varint() << shift))};
     } else {
       value = Variant{static_cast<std::int64_t>(prior.bits +
-                                                unzigzag(read_varint(r)))};
+                                                unzigzag(r.varint()))};
     }
   }
   if ((type & kTimeCoded) != 0) {
     timestamp = static_cast<SimTime>(
-        static_cast<std::uint64_t>(prior.timestamp) + unzigzag(read_varint(r)));
+        static_cast<std::uint64_t>(prior.timestamp) + unzigzag(r.varint()));
   } else {
     timestamp = r.i64();
   }
   if (op != nullptr) {
-    const std::uint64_t v = read_varint(r);
+    const std::uint64_t v = r.varint();
     *op = (type & kOpCoded) != 0 ? prior.op + unzigzag(v) : v;
     prior.op = *op;
   }

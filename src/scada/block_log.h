@@ -68,10 +68,6 @@ std::uint8_t decode_record(Reader& r, Prior& prior, Variant& value,
                            SimTime& timestamp, std::uint64_t* op,
                            std::uint8_t max_extra);
 
-/// An LEB128 varint that throws DecodeError when it is overlong (a zero
-/// last byte after the first) or does not fit 64 bits.
-std::uint64_t read_varint(Reader& r);
-
 class BlockLog {
  public:
   /// Blocks stop growing at `block_bytes`: the log never reallocates (and so

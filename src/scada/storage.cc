@@ -63,7 +63,7 @@ std::uint64_t EventStorage::tag_for(std::string_view key) {
 
 void EventStorage::read_record(Reader& r, Prior& prior, Event& event,
                                const std::vector<Event>* heads) {
-  const std::uint64_t tag = read_varint(r);
+  const std::uint64_t tag = r.varint();
   if (tag == 0) {
     event.decode_template(r);
   } else if (heads != nullptr) {
@@ -157,7 +157,7 @@ void EventStorage::decode(Reader& r) {
   Prior read = base_;
   last_ = base_;
   for (std::uint64_t i = 0; i < resident; ++i) {
-    const std::uint64_t tag = read_varint(r);
+    const std::uint64_t tag = r.varint();
     if (tag > templates_.size()) throw DecodeError("event template unknown");
     encoding_.clear();
     encoding_.varint(tag);

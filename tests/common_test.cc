@@ -114,6 +114,33 @@ TEST(Serialization, MalformedVarintThrows) {
   EXPECT_THROW(r.varint(), DecodeError);
 }
 
+// A value has one byte form: the one Writer::varint writes.
+TEST(Serialization, NonCanonicalVarintThrows) {
+  const Bytes overlong{0x81, 0x80, 0x00};  // 1 with two padding groups
+  Reader r1(overlong);
+  EXPECT_THROW(r1.varint(), DecodeError);
+  Bytes past_64_bits(9, 0xff);  // 2^64-1 with six bits past the 64th
+  past_64_bits.push_back(0x7f);
+  Reader r2(past_64_bits);
+  EXPECT_THROW(r2.varint(), DecodeError);
+  const Bytes zero{0x00};  // a single zero byte is 0's canonical form
+  Reader r3(zero);
+  EXPECT_EQ(r3.varint(), 0u);
+}
+
+TEST(Serialization, RandomVarintsRoundTrip) {
+  Rng rng(0x5eed);
+  for (int i = 0; i < 2000; ++i) {
+    // Every length from 1 to 10 bytes: a random value shifted down.
+    const std::uint64_t v = rng.next() >> (i % 64);
+    Writer w;
+    w.varint(v);
+    Reader r(w.bytes());
+    ASSERT_EQ(r.varint(), v);
+    ASSERT_TRUE(r.done());
+  }
+}
+
 TEST(Serialization, BooleanRejectsGarbage) {
   Bytes data{7};
   Reader r(data);

@@ -1,21 +1,25 @@
 // Observability layer: histogram percentile accuracy (including the
-// empty/one-sample edge cases), registry sources and handles, tracer span
-// lifecycle — both in isolation and across a full replicated write round in
-// the sim harness — the span ring against a std::deque<Span> model and its
-// heap footprint, and the flight recorder's bounded window, which merges
-// the Tracer's spans with its own log notes at dump time and streams the
-// dump without building it in memory.
+// empty/one-sample edge cases), registry sources and handles, the process
+// source's procfs memory fields, tracer span lifecycle — both in isolation
+// and across a full replicated write round in the sim harness — the span
+// ring against a std::deque<Span> model and its heap footprint, and the
+// flight recorder's bounded window, which merges the Tracer's spans with
+// its own log notes at dump time and streams the dump without building it
+// in memory.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "core/replicated_deployment.h"
 #include "heap_usage.h"
 #include "obs/metrics.h"
+#include "obs/process.h"
 #include "obs/trace.h"
 
 namespace ss::obs {
@@ -172,6 +177,34 @@ TEST(RegistryTest, HandlesTakenBeforeResetKeepRecording) {
       << json;
   tracer.reset();
   reg.reset();
+}
+
+// The number after `"key":` in `json`; nullopt when the key is absent.
+std::optional<double> json_number(const std::string& json,
+                                  const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":");
+  if (at == std::string::npos) return std::nullopt;
+  return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
+}
+
+TEST(ProcessSource, ReportsThisProcessMemory) {
+  if (::access("/proc/self/status", R_OK) != 0) {
+    GTEST_SKIP() << "no procfs";
+  }
+  const SourceHandle handle = add_process_source();
+  const std::string json = Registry::instance().json();
+  const std::size_t at = json.find("\"process\":{");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string fields = json.substr(at, json.find('}', at) - at);
+  std::map<std::string, double> kb;
+  for (const char* key : {"vm_hwm_kb", "rss_anon_kb", "rss_file_kb", "pss_kb",
+                          "private_dirty_kb"}) {
+    const std::optional<double> v = json_number(fields, key);
+    ASSERT_TRUE(v.has_value()) << key << " missing from " << fields;
+    EXPECT_GT(*v, 0) << key;
+    kb[key] = *v;
+  }
+  EXPECT_GE(kb["vm_hwm_kb"], kb["rss_anon_kb"] + kb["rss_file_kb"]) << fields;
 }
 
 // ---------------------------------------------------------------------------
