@@ -64,7 +64,7 @@ load::RunRecord sim_writes(Protocol protocol, std::uint32_t f,
 load::RunRecord socket_writes(Protocol protocol, std::uint32_t f,
                               std::uint16_t base_port,
                               const std::string& name) {
-  // The harness, `deploy config` and the spawned replicas all derive the
+  // The harness, its port table and the spawned replicas all derive the
   // group from SS_PROTOCOL; export it so every process agrees on n and the
   // quorums.
   ::setenv("SS_PROTOCOL", protocol_name(protocol), 1);
@@ -72,8 +72,8 @@ load::RunRecord socket_writes(Protocol protocol, std::uint32_t f,
   if (!harness.warm_up()) {
     throw std::runtime_error("replica group never became live");
   }
-  return closed_loop_writes(harness, kSetpoint, name, kSocketWarmup,
-                            kSocketMeasure);
+  return closed_loop_writes(harness, core::plant::kSetpoint, name,
+                            kSocketWarmup, kSocketMeasure);
 }
 
 }  // namespace

@@ -254,8 +254,8 @@ int main(int argc, char** argv) {
     double run_index = 0;
     for (const Planned& planned : runs) {
       Workload workload{.op = opt.op,
-                        .items = {kTemperature},
-                        .write_item = kSetpoint,
+                        .items = {core::plant::kTemperature},
+                        .write_item = core::plant::kSetpoint,
                         .alarm_pct = opt.alarm_pct,
                         .update_base = ++run_index * 1e9};
       net::SocketStats before = harness.net().stats();

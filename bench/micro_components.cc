@@ -9,6 +9,7 @@
 
 #include "bft/dedup_table.h"
 #include "bft/messages.h"
+#include "core/plant.h"
 #include "core/push_voter.h"
 #include "crypto/hmac.h"
 #include "crypto/keychain.h"
@@ -207,12 +208,9 @@ std::unique_ptr<scada::ScadaMaster> alarm_master(std::int64_t updates) {
   scada::MasterOptions options;
   options.deterministic = true;
   auto master = std::make_unique<scada::ScadaMaster>(std::move(options));
-  ItemId item = master->add_item("plant/reactor/temperature");
-  master->add_item("plant/reactor/setpoint");
-  master->handlers(item).emplace<scada::MonitorHandler>(
-      scada::MonitorHandler::Condition::kAbove, 100.0);
+  core::plant::add_points(*master, 100.0);
   scada::ItemUpdate update;
-  update.item = item;
+  update.item = core::plant::kTemperature;
   scada::MsgContext ctx;
   for (std::uint64_t k = 0; k < static_cast<std::uint64_t>(updates); ++k) {
     update.value = alarm_value(k);

@@ -64,15 +64,11 @@
 #include <string_view>
 #include <vector>
 
-#include "bft/client.h"
-#include "bft/replica.h"
 #include "common/file.h"
 #include "common/logging.h"
-#include "core/adapter.h"
-#include "core/nodes.h"
-#include "core/proxies.h"
-#include "core/replicated_deployment.h"
-#include "core/scada_link.h"
+#include "core/assembly.h"
+#include "core/launcher.h"
+#include "core/plant.h"
 #include "core/supervisor.h"
 #include "crypto/keychain.h"
 #include "net/resolver.h"
@@ -82,29 +78,14 @@
 #include "obs/trace.h"
 #include "rtu/driver.h"
 #include "rtu/rtu.h"
-#include "rtu/sensors.h"
-#include "scada/frontend.h"
-#include "scada/hmi.h"
-#include "scada/master.h"
 #include "storage/checkpoint.h"
 #include "storage/env.h"
 #include "storage/replica_storage.h"
 
 using namespace ss;
+namespace plant = ss::core::plant;
 
 namespace {
-
-// The replicated data points, registered in the same order in every process
-// (ids are dense by registration order, so they agree system-wide).
-constexpr ItemId kTemperature{1};
-constexpr ItemId kSetpoint{2};
-const char* kTemperatureName = "plant/reactor/temperature";
-const char* kSetpointName = "plant/reactor/setpoint";
-const char* kRtuEndpoint = "rtu/0";
-const char* kGroupSecret = "smart-scada-secret";
-
-constexpr std::uint16_t kTemperatureReg = 5;
-constexpr std::uint16_t kSetpointReg = 7;
 
 volatile sig_atomic_t g_stop = 0;
 volatile sig_atomic_t g_snapshot = 0;
@@ -240,11 +221,14 @@ void dump_traces(const std::string& tag) {
 /// Scope guard: dumps traces and detaches the tracer clock on every exit
 /// path of a role (normal return, HMI failure return, exception unwind).
 struct ObsTeardown {
-  std::string tag;
+  explicit ObsTeardown(std::string role) : tag(std::move(role)) {}
+  ObsTeardown(const ObsTeardown&) = delete;
+  ObsTeardown& operator=(const ObsTeardown&) = delete;
   ~ObsTeardown() {
     dump_traces(tag);
     obs::Tracer::instance().set_clock(nullptr);
   }
+  std::string tag;
 };
 
 /// Runs `action` every `period` on the transport's loop for as long as the
@@ -264,9 +248,10 @@ void schedule_every(net::SocketTransport& transport, SimTime period,
 /// snapshot, and (with SS_METRICS_PERIOD=N) a periodic JSON metrics dump.
 /// The role keeps only the spans its flight recorder can print (a dump shows
 /// at most FlightRecorder::capacity() events), so the trace file written at
-/// exit holds that many newest spans too.
-void setup_observability(net::SocketTransport& transport,
-                         const std::string& tag) {
+/// exit holds that many newest spans too. The role holds the returned guard
+/// for as long as it runs.
+[[nodiscard]] ObsTeardown setup_observability(net::SocketTransport& transport,
+                                              const std::string& tag) {
   obs::Tracer::instance().set_capacity(
       obs::FlightRecorder::instance().capacity());
   obs::Tracer::instance().set_clock([&transport] { return transport.now(); });
@@ -297,40 +282,13 @@ void setup_observability(net::SocketTransport& transport,
       std::fputc('\n', stderr);
     });
   }
+  return ObsTeardown{tag};
 }
 
-/// Every endpoint name a deployment of n replicas uses, mapped to
-/// consecutive localhost ports.
-net::Resolver make_resolver(std::uint32_t n, const std::string& host,
-                            std::uint16_t base) {
-  // Three ports per replica plus eight for the clients, all above `base`.
-  if (base + 3 * n + 8 > 65536) {
-    throw std::runtime_error("base port " + std::to_string(base) +
-                             " leaves no room for " + std::to_string(n) +
-                             " replicas");
-  }
-  net::Resolver r;
-  std::uint16_t port = base;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    r.add(crypto::replica_principal(ReplicaId{i}),
-          net::SocketAddress{host, port++});
-    r.add("adapter/" + std::to_string(i), net::SocketAddress{host, port++});
-    r.add(crypto::client_principal(ClientId{core::kAdapterClientBase + i}),
-          net::SocketAddress{host, port++});
-  }
-  for (const char* name :
-       {core::kHmiEndpoint, core::kFrontendEndpoint, core::kProxyHmiEndpoint,
-        core::kProxyFrontendEndpoint, "frontend/driver", kRtuEndpoint}) {
-    r.add(name, net::SocketAddress{host, port++});
-  }
-  r.add(crypto::client_principal(ClientId{core::kProxyHmiClient}),
-        net::SocketAddress{host, port++});
-  r.add(crypto::client_principal(ClientId{core::kProxyFrontendClient}),
-        net::SocketAddress{host, port++});
-  return r;
-}
-
+/// A role's transport on the deployment's config file; SIGTERM and SIGINT
+/// stop it, SIGUSR1 and SIGUSR2 dump what it holds.
 net::SocketTransport make_transport(const std::string& config) {
+  install_stop_handler();
   return net::SocketTransport(net::Resolver::from_file(config),
                               net::socket_options_from_env());
 }
@@ -367,37 +325,12 @@ void arm_stats_heartbeat(net::SocketTransport& transport,
 
 int run_replica(const std::string& config, GroupConfig group,
                 std::uint32_t id) {
-  install_stop_handler();
   net::SocketTransport transport = make_transport(config);
   // Before recovery: replaying the WAL already records spans, and the Tracer
   // should take its final capacity before its ring is first filled.
   const std::string tag = "replica/" + std::to_string(id);
-  setup_observability(transport, tag);
-  ObsTeardown teardown{tag};
-  crypto::Keychain keys(kGroupSecret);
-
-  scada::MasterOptions master_options;
-  master_options.deterministic = true;  // timestamps come from agreement
-  scada::ScadaMaster master(std::move(master_options));
-  ItemId temperature = master.add_item(kTemperatureName);
-  master.add_item(kSetpointName);
-  // SS_ALARM_THRESHOLD attaches a Monitor to the temperature point, so the
-  // AE subsystem (alarm persisted + EventUpdate pushed to the HMI) is live
-  // in socket mode — the fig8b alarm-storm bench drives this path.
-  if (const std::optional<double> threshold = env_settings().alarm_threshold) {
-    master.handlers(temperature)
-        .emplace<scada::MonitorHandler>(
-            scada::MonitorHandler::Condition::kAbove, *threshold);
-  }
-
-  core::AdapterOptions adapter_options;
-  adapter_options.write_timeout = millis(800);
-  core::Adapter adapter(transport, group, ReplicaId{id}, keys, master,
-                        adapter_options);
-  adapter.register_client(core::kHmiEndpoint,
-                          ClientId{core::kProxyHmiClient});
-  adapter.register_client(core::kFrontendEndpoint,
-                          ClientId{core::kProxyFrontendClient});
+  ObsTeardown teardown = setup_observability(transport, tag);
+  crypto::Keychain keys(plant::kGroupSecret);
 
   bft::ReplicaOptions replica_options;  // zero CPU costs: real CPUs are real
   if (const long interval = env_settings().checkpoint_interval; interval > 0) {
@@ -409,21 +342,19 @@ int run_replica(const std::string& config, GroupConfig group,
   // message, so the deprecated set_storage shim would be too late.
   storage::PosixEnv storage_env;
   std::unique_ptr<storage::ReplicaStorage> storage;
-  const char* state_root = std::getenv("SS_STATE_DIR");
-  if (state_root != nullptr) {
-    const std::string dir =
-        std::string(state_root) + "/replica-" + std::to_string(id);
+  if (const char* state_root = std::getenv("SS_STATE_DIR")) {
+    const std::string dir = "replica-" + std::to_string(id);
     storage = std::make_unique<storage::ReplicaStorage>(
-        storage_env, dir, "storage/replica-" + std::to_string(id));
+        storage_env, std::string(state_root) + "/" + dir, "storage/" + dir);
     replica_options.storage = storage.get();
   }
-  bft::Replica replica(transport, group, ReplicaId{id}, keys, adapter,
-                       adapter, replica_options);
-  adapter.attach_replica(&replica);
-
-  bft::ClientProxy timeout_client(
-      transport, group, ClientId{core::kAdapterClientBase + id}, keys);
-  adapter.attach_timeout_client(&timeout_client);
+  core::ProxyMaster stack(transport, group, ReplicaId{id}, keys, {}, {},
+                          replica_options);
+  // SS_ALARM_THRESHOLD attaches a Monitor to the temperature point, so the
+  // AE subsystem (alarm persisted + EventUpdate pushed to the HMI) is live
+  // in socket mode — the fig8b alarm-storm bench drives this path.
+  plant::add_points(stack.master, env_settings().alarm_threshold);
+  bft::Replica& replica = stack.replica;
 
   // With SS_STATE_DIR set, every decided batch hits an fsync'd WAL before it
   // executes and checkpoints go to disk; a restarted process rebuilds its
@@ -458,37 +389,17 @@ int run_replica(const std::string& config, GroupConfig group,
 }
 
 int run_frontend(const std::string& config, GroupConfig group) {
-  install_stop_handler();
   net::SocketTransport transport = make_transport(config);
-  crypto::Keychain keys(kGroupSecret);
+  crypto::Keychain keys(plant::kGroupSecret);
+  core::FrontendSide side(transport, keys, group);
+  plant::add_points(side.frontend);
 
-  scada::Frontend frontend(scada::FrontendOptions{.instance_id = 1});
-  frontend.add_item(kTemperatureName);
-  frontend.add_item(kSetpointName, scada::Variant{20.0});
-
-  core::ProxyOptions proxy_options;
-  proxy_options.endpoint = core::kProxyFrontendEndpoint;
-  proxy_options.component_endpoint = core::kFrontendEndpoint;
-  core::ComponentProxy proxy(transport, group,
-                             ClientId{core::kProxyFrontendClient}, keys,
-                             proxy_options);
-
-  core::FrontendNode node(transport, keys, frontend,
-                          core::NodeOptions{
-                              .endpoint = core::kFrontendEndpoint,
-                              .peer = core::kProxyFrontendEndpoint,
-                          });
-
-  rtu::RtuDriver driver(transport, frontend,
+  rtu::RtuDriver driver(transport, side.frontend,
                         rtu::DriverOptions{.poll_period = millis(100)});
-  driver.bind_sensor(kRtuEndpoint, kTemperatureReg,
-                     rtu::RegisterScaling{0.1, 0.0}, kTemperature);
-  driver.bind_actuator(kRtuEndpoint, kSetpointReg,
-                       rtu::RegisterScaling{0.1, 0.0}, kSetpoint);
+  plant::bind_registers(driver);
   driver.start();
 
-  setup_observability(transport, "frontend");
-  ObsTeardown teardown{"frontend"};
+  ObsTeardown teardown = setup_observability(transport, "frontend");
   std::fprintf(stderr, "[frontend] up\n");
   arm_stats_heartbeat(transport, "frontend", [&] {
     return "polls=" + std::to_string(driver.counters().polls_sent) +
@@ -500,20 +411,14 @@ int run_frontend(const std::string& config, GroupConfig group) {
 }
 
 int run_rtu(const std::string& config) {
-  install_stop_handler();
   net::SocketTransport transport = make_transport(config);
 
-  rtu::Rtu rtu(transport, kRtuEndpoint,
+  rtu::Rtu rtu(transport, plant::kRtuEndpoint,
                rtu::RtuOptions{.sample_period = millis(100)});
-  rtu.add_sensor(kTemperatureReg,
-                 std::make_unique<rtu::ConstantSignal>(95.5),
-                 rtu::RegisterScaling{0.1, 0.0});
-  rtu.add_actuator(kSetpointReg,
-                   rtu::RegisterScaling{0.1, 0.0}.to_raw(20.0));
+  plant::add_registers(rtu);
   rtu.start();
 
-  setup_observability(transport, kRtuEndpoint);
-  ObsTeardown teardown{kRtuEndpoint};
+  ObsTeardown teardown = setup_observability(transport, plant::kRtuEndpoint);
   std::fprintf(stderr, "[rtu/0] up\n");
   serve(transport);
   return 0;
@@ -521,33 +426,19 @@ int run_rtu(const std::string& config) {
 
 int run_hmi(const std::string& config, GroupConfig group,
             std::uint32_t rounds) {
-  install_stop_handler();
   net::SocketTransport transport = make_transport(config);
-  crypto::Keychain keys(kGroupSecret);
-
-  scada::Hmi hmi(scada::HmiOptions{.subscriber_name = core::kHmiEndpoint});
-
-  core::ProxyOptions proxy_options;
-  proxy_options.endpoint = core::kProxyHmiEndpoint;
-  proxy_options.component_endpoint = core::kHmiEndpoint;
-  core::ComponentProxy proxy(transport, group, ClientId{core::kProxyHmiClient},
-                             keys, proxy_options);
-
-  core::HmiNode node(transport, keys, hmi,
-                     core::NodeOptions{
-                         .endpoint = core::kHmiEndpoint,
-                         .peer = core::kProxyHmiEndpoint,
-                     });
+  crypto::Keychain keys(plant::kGroupSecret);
+  core::HmiSide side(transport, keys, group);
+  scada::Hmi& hmi = side.hmi;
   transport.set_interrupt_check([] { return g_stop != 0; });
-  setup_observability(transport, "hmi");
-  ObsTeardown teardown{"hmi"};
+  ObsTeardown teardown = setup_observability(transport, "hmi");
 
   // Use case 1 — Item update: subscribe, then wait for the RTU's
   // temperature to arrive through Byzantine agreement and the f+1 voter.
   hmi.subscribe_all();
   bool updated = transport.run_until(
       [&] {
-        const scada::Item* item = hmi.item(kTemperature);
+        const scada::Item* item = hmi.item(plant::kTemperature);
         return item != nullptr && item->quality == scada::Quality::kGood;
       },
       seconds(30));
@@ -556,21 +447,24 @@ int run_hmi(const std::string& config, GroupConfig group,
     return 1;
   }
   std::printf("[hmi] item update: temperature = %s\n",
-              hmi.item(kTemperature)->value.debug_string().c_str());
+              hmi.item(plant::kTemperature)->value.debug_string().c_str());
 
   // Use case 2 — Write value: operator write ordered through agreement,
-  // executed on the RTU, result voted back.
-  bool done = false;
-  bool write_ok = false;
-  hmi.write(kSetpoint, scada::Variant{42.0},
-            [&](const scada::WriteResult& result) {
-              done = true;
-              write_ok = result.status == scada::WriteStatus::kOk;
-            });
-  transport.run_until([&] { return done; }, seconds(30));
-  if (!done || !write_ok) {
-    std::fprintf(stderr, "[hmi] FAIL: write %s\n",
-                 done ? "rejected" : "timed out after 30s");
+  // executed on the RTU, result voted back. Returns what went wrong, or
+  // nullptr once the write committed.
+  auto write_setpoint = [&](double value) -> const char* {
+    bool done = false;
+    bool ok = false;
+    hmi.write(plant::kSetpoint, scada::Variant{value},
+              [&](const scada::WriteResult& result) {
+                done = true;
+                ok = result.status == scada::WriteStatus::kOk;
+              });
+    transport.run_until([&] { return done; }, seconds(30));
+    return !done ? "timed out after 30s" : ok ? nullptr : "rejected";
+  };
+  if (const char* failure = write_setpoint(42.0)) {
+    std::fprintf(stderr, "[hmi] FAIL: write %s\n", failure);
     return 1;
   }
   std::printf("[hmi] write value: setpoint = 42 committed\n");
@@ -580,17 +474,8 @@ int run_hmi(const std::string& config, GroupConfig group,
   // round must still commit — f=1 tolerates the one missing replica, and
   // the restarted one rejoins from disk.
   for (std::uint32_t round = 1; round <= rounds; ++round) {
-    bool round_done = false;
-    bool round_ok = false;
-    hmi.write(kSetpoint, scada::Variant{42.0 + round},
-              [&](const scada::WriteResult& result) {
-                round_done = true;
-                round_ok = result.status == scada::WriteStatus::kOk;
-              });
-    transport.run_until([&] { return round_done; }, seconds(30));
-    if (!round_done || !round_ok) {
-      std::fprintf(stderr, "[hmi] FAIL: write round %u %s\n", round,
-                   round_done ? "rejected" : "timed out after 30s");
+    if (const char* failure = write_setpoint(42.0 + round)) {
+      std::fprintf(stderr, "[hmi] FAIL: write round %u %s\n", round, failure);
       return 1;
     }
     transport.run_until([] { return false; }, millis(250));
@@ -604,6 +489,19 @@ int run_hmi(const std::string& config, GroupConfig group,
 
 // ---------------------------------------------------------------------------
 // Trace aggregation (orchestrator side)
+
+/// The names in `dir` but "." and ".."; none when it cannot be opened.
+std::vector<std::string> list_dir(const std::string& dir) {
+  std::vector<std::string> names;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name != "." && name != "..") names.push_back(name);
+    }
+    ::closedir(d);
+  }
+  return names;
+}
 
 struct TraceSpan {
   std::uint64_t op = 0;
@@ -638,10 +536,7 @@ bool extract_num(std::string_view line, const char* key, long long& out) {
 /// verdict.
 std::vector<TraceSpan> load_trace_dir(const std::string& dir) {
   std::vector<TraceSpan> spans;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return spans;
-  while (dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
+  for (const std::string& name : list_dir(dir)) {
     if (name.rfind("trace-", 0) != 0) continue;
     std::optional<Bytes> file;
     try {
@@ -666,7 +561,6 @@ std::vector<TraceSpan> load_trace_dir(const std::string& dir) {
       spans.push_back(std::move(s));
     }
   }
-  ::closedir(d);
   return spans;
 }
 
@@ -717,18 +611,6 @@ void print_write_timeline(const std::vector<TraceSpan>& spans) {
 // ---------------------------------------------------------------------------
 // Orchestrator
 
-pid_t spawn(const char* self, const std::vector<std::string>& args) {
-  pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(self));
-  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  ::execv("/proc/self/exe", argv.data());
-  std::perror("execv");
-  std::_Exit(127);
-}
-
 /// Orchestrator-side audit of the durable state the replicas left behind:
 /// every replica dir must hold a loadable (CRC-verified) checkpoint, and
 /// checkpoints at the same cid must carry the same application digest — the
@@ -773,15 +655,13 @@ int audit_state_dirs(const std::string& root, std::uint32_t n, int code) {
   return code;
 }
 
-void remove_state_dirs(const std::string& root, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::string dir = root + "/replica-" + std::to_string(i);
-    for (const char* file : {"/wal", "/wal.tmp", "/snapshot", "/snapshot.tmp"}) {
-      ::unlink((dir + file).c_str());
-    }
-    ::rmdir(dir.c_str());
+/// Removes `dir`, which `deploy local` made, with everything in it.
+void remove_dir(const std::string& dir) {
+  for (const std::string& name : list_dir(dir)) {
+    const std::string path = dir + "/" + name;
+    if (::unlink(path.c_str()) != 0 && errno == EISDIR) remove_dir(path);
   }
-  ::rmdir(root.c_str());
+  ::rmdir(dir.c_str());
 }
 
 struct SuperviseOptions {
@@ -791,6 +671,109 @@ struct SuperviseOptions {
   std::uint32_t rounds = 0;  ///< extra HMI write rounds (load for the window)
 };
 
+/// Starts every role as a child of this binary, supervises the replicas
+/// when asked, and returns the HMI's exit code; the launcher then stops and
+/// reaps the other roles.
+int run_roles(const char* self, const GroupConfig& group,
+              const std::string& config, const SuperviseOptions& sup) {
+  core::Launcher launcher("/proc/self/exe", self);
+  const std::string fs = std::to_string(group.f);
+  launcher.spawn({"rtu", "--config", config});
+  std::vector<pid_t> replica_pid(group.n, -1);
+  auto spawn_replica = [&](std::uint32_t i) {
+    replica_pid[i] = launcher.spawn({"replica", "--id", std::to_string(i),
+                                     "--f", fs, "--config", config});
+  };
+  for (std::uint32_t i = 0; i < group.n; ++i) spawn_replica(i);
+  launcher.spawn({"frontend", "--f", fs, "--config", config});
+
+  // Give servers a beat to bind before the HMI starts asking questions
+  // (requests are retransmitted anyway; this just avoids burning retries).
+  ::usleep(300 * 1000);
+  std::vector<std::string> hmi_args = {"hmi", "--f", fs, "--config", config};
+  if (sup.rounds > 0) {
+    hmi_args.push_back("--rounds");
+    hmi_args.push_back(std::to_string(sup.rounds));
+  }
+  const pid_t hmi = launcher.spawn(hmi_args);
+
+  int status = 0;
+  if (!sup.enabled) {
+    status = launcher.wait(hmi);
+  } else {
+    // The supervisor: a thin fork/kill/waitpid loop around core::Supervisor,
+    // which decides every restart (exponential backoff, bounded attempts per
+    // crash burst) and, with SS_PROACTIVE_PERIOD, every proactive
+    // reincarnation. --kill-replica is a one-shot crash on top, charged to
+    // the victim's restart budget like any other. The HMI's exit ends the
+    // run.
+    const long proactive_period_ms = env_settings().proactive_period_ms;
+    core::Supervisor supervisor(group.n, proactive_period_ms);
+    long elapsed_ms = 0;
+    bool kill_fired = sup.kill_replica < 0;
+    bool hmi_done = false;
+    while (!hmi_done) {
+      ::usleep(50 * 1000);
+      elapsed_ms += 50;
+      if (!kill_fired && elapsed_ms >= sup.kill_after_ms) {
+        kill_fired = true;
+        if (replica_pid[sup.kill_replica] > 0) {
+          std::printf("deploy: supervisor SIGKILLs replica/%d at %ld ms\n",
+                      sup.kill_replica, elapsed_ms);
+          launcher.signal(replica_pid[sup.kill_replica], SIGKILL);
+        }
+      }
+      if (std::optional<std::uint32_t> victim =
+              supervisor.due_reincarnation(elapsed_ms)) {
+        std::printf(
+            "deploy: proactive reincarnation #%llu of replica/%u at %ld ms\n",
+            static_cast<unsigned long long>(supervisor.stats().reincarnations),
+            *victim, elapsed_ms);
+        launcher.signal(replica_pid[*victim], SIGKILL);
+      }
+      for (std::uint32_t i : supervisor.due_restarts(elapsed_ms)) {
+        std::printf("deploy: supervisor restarts replica/%u (attempt %u)\n", i,
+                    supervisor.attempts(i));
+        spawn_replica(i);
+        supervisor.on_start(i, elapsed_ms);
+      }
+      for (const core::Launcher::Exit& exit : launcher.reap()) {
+        if (exit.pid == hmi) {
+          status = exit.status;
+          hmi_done = true;
+          continue;
+        }
+        for (std::uint32_t i = 0; i < group.n; ++i) {
+          if (exit.pid != replica_pid[i]) continue;
+          replica_pid[i] = -1;
+          const long delay = supervisor.on_death(i, elapsed_ms);
+          if (delay < 0) {
+            std::fprintf(stderr,
+                         "deploy: replica/%u died %u times, giving up on it\n",
+                         i, supervisor.attempts(i));
+          } else {
+            std::printf(
+                "deploy: replica/%u %s, restart in %ld ms\n", i,
+                WIFSIGNALED(exit.status)
+                    ? ("killed by signal " +
+                       std::to_string(WTERMSIG(exit.status)))
+                          .c_str()
+                    : "exited",
+                delay);
+          }
+          break;
+        }
+      }
+    }
+    if (proactive_period_ms > 0) {
+      std::printf("deploy: %llu proactive reincarnations completed\n",
+                  static_cast<unsigned long long>(
+                      supervisor.stats().reincarnations));
+    }
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
+}
+
 int run_local(const char* self, const GroupConfig& group,
               std::uint16_t base_port, const SuperviseOptions& sup) {
   if (base_port == 0) {
@@ -798,7 +781,8 @@ int run_local(const char* self, const GroupConfig& group,
     base_port = static_cast<std::uint16_t>(40000 + (::getpid() % 8000) * 2);
   }
 
-  net::Resolver resolver = make_resolver(group.n, "127.0.0.1", base_port);
+  net::Resolver resolver =
+      plant::port_table(group.n, "127.0.0.1", base_port);
   std::string config =
       "/tmp/smart-scada-deploy-" + std::to_string(::getpid()) + ".conf";
   // Throws (and `deploy local` exits 1) when the config cannot be written.
@@ -834,136 +818,26 @@ int run_local(const char* self, const GroupConfig& group,
               state_root.empty() ? "" : " state_dir=",
               state_root.c_str());
 
-  const std::string fs = std::to_string(group.f);
-  std::vector<pid_t> background;  // rtu + frontend; replicas tracked below
-  background.push_back(spawn(self, {"rtu", "--config", config}));
-  std::vector<pid_t> replica_pid(group.n, -1);
-  auto spawn_replica = [&](std::uint32_t i) {
-    replica_pid[i] = spawn(self, {"replica", "--id", std::to_string(i), "--f",
-                                  fs, "--config", config});
-  };
-  for (std::uint32_t i = 0; i < group.n; ++i) spawn_replica(i);
-  background.push_back(spawn(self, {"frontend", "--f", fs, "--config", config}));
-
-  // Give servers a beat to bind before the HMI starts asking questions
-  // (requests are retransmitted anyway; this just avoids burning retries).
-  ::usleep(300 * 1000);
-  std::vector<std::string> hmi_args = {"hmi", "--f", fs, "--config", config};
-  if (sup.rounds > 0) {
-    hmi_args.push_back("--rounds");
-    hmi_args.push_back(std::to_string(sup.rounds));
-  }
-  pid_t hmi = spawn(self, hmi_args);
-
-  int status = 0;
-  if (!sup.enabled) {
-    ::waitpid(hmi, &status, 0);
-  } else {
-    // The supervisor: a thin fork/kill/waitpid loop around core::Supervisor,
-    // which decides every restart (exponential backoff, bounded attempts per
-    // crash burst) and, with SS_PROACTIVE_PERIOD, every proactive
-    // reincarnation. --kill-replica is a one-shot crash on top, charged to
-    // the victim's restart budget like any other. The HMI's exit ends the
-    // run.
-    const long proactive_period_ms = env_settings().proactive_period_ms;
-    core::Supervisor supervisor(group.n, proactive_period_ms);
-    long elapsed_ms = 0;
-    bool kill_fired = sup.kill_replica < 0;
-    bool hmi_done = false;
-    while (!hmi_done) {
-      ::usleep(50 * 1000);
-      elapsed_ms += 50;
-      if (!kill_fired && elapsed_ms >= sup.kill_after_ms) {
-        kill_fired = true;
-        if (replica_pid[sup.kill_replica] > 0) {
-          std::printf("deploy: supervisor SIGKILLs replica/%d at %ld ms\n",
-                      sup.kill_replica, elapsed_ms);
-          ::kill(replica_pid[sup.kill_replica], SIGKILL);
-        }
-      }
-      if (std::optional<std::uint32_t> victim =
-              supervisor.due_reincarnation(elapsed_ms)) {
-        std::printf(
-            "deploy: proactive reincarnation #%llu of replica/%u at %ld ms\n",
-            static_cast<unsigned long long>(supervisor.stats().reincarnations),
-            *victim, elapsed_ms);
-        if (replica_pid[*victim] > 0) ::kill(replica_pid[*victim], SIGKILL);
-      }
-      for (std::uint32_t i : supervisor.due_restarts(elapsed_ms)) {
-        std::printf("deploy: supervisor restarts replica/%u (attempt %u)\n", i,
-                    supervisor.attempts(i));
-        spawn_replica(i);
-        supervisor.on_start(i, elapsed_ms);
-      }
-      int child_status = 0;
-      pid_t pid;
-      while ((pid = ::waitpid(-1, &child_status, WNOHANG)) > 0) {
-        if (pid == hmi) {
-          status = child_status;
-          hmi_done = true;
-          continue;
-        }
-        for (std::uint32_t i = 0; i < group.n; ++i) {
-          if (pid != replica_pid[i]) continue;
-          replica_pid[i] = -1;
-          const long delay = supervisor.on_death(i, elapsed_ms);
-          if (delay < 0) {
-            std::fprintf(stderr,
-                         "deploy: replica/%u died %u times, giving up on it\n",
-                         i, supervisor.attempts(i));
-          } else {
-            std::printf(
-                "deploy: replica/%u %s, restart in %ld ms\n", i,
-                WIFSIGNALED(child_status)
-                    ? ("killed by signal " +
-                       std::to_string(WTERMSIG(child_status)))
-                          .c_str()
-                    : "exited",
-                delay);
-          }
-          break;
-        }
-      }
-    }
-    if (proactive_period_ms > 0) {
-      std::printf("deploy: %llu proactive reincarnations completed\n",
-                  static_cast<unsigned long long>(
-                      supervisor.stats().reincarnations));
-    }
-  }
-
-  for (pid_t pid : background) ::kill(pid, SIGTERM);
-  for (pid_t pid : replica_pid) {
-    if (pid > 0) ::kill(pid, SIGTERM);
-  }
-  for (pid_t pid : background) ::waitpid(pid, nullptr, 0);
-  for (pid_t pid : replica_pid) {
-    if (pid > 0) ::waitpid(pid, nullptr, 0);
+  int code = 1;
+  try {
+    code = run_roles(self, group, config, sup);
+  } catch (const std::runtime_error& e) {
+    // A failed fork: the launcher has already stopped every role it started.
+    std::fprintf(stderr, "deploy: %s\n", e.what());
   }
   ::unlink(config.c_str());
 
   print_write_timeline(load_trace_dir(trace_dir));
   if (own_trace_dir) {
-    DIR* d = ::opendir(trace_dir.c_str());
-    if (d != nullptr) {
-      while (dirent* entry = ::readdir(d)) {
-        std::string name = entry->d_name;
-        if (name.rfind("trace-", 0) == 0) {
-          ::unlink((trace_dir + "/" + name).c_str());
-        }
-      }
-      ::closedir(d);
-    }
-    ::rmdir(trace_dir.c_str());
+    remove_dir(trace_dir);
   } else {
     std::printf("deploy: per-process traces kept in %s\n", trace_dir.c_str());
   }
 
-  int code = WIFEXITED(status) ? WEXITSTATUS(status) : 1;
   if (!state_root.empty()) {
     code = audit_state_dirs(state_root, group.n, code);
     if (own_state_dir) {
-      remove_state_dirs(state_root, group.n);
+      remove_dir(state_root);
     } else {
       std::printf("deploy: replica state kept in %s\n", state_root.c_str());
     }
@@ -1040,8 +914,8 @@ int main(int argc, char** argv) {
     }
     if (role == "local") return run_local(argv[0], group, base_port, sup);
     if (role == "config") {
-      std::fputs(make_resolver(group.n, "127.0.0.1",
-                               base_port ? base_port : 47000)
+      std::fputs(plant::port_table(group.n, "127.0.0.1",
+                                   base_port ? base_port : 47000)
                      .to_text()
                      .c_str(),
                  stdout);

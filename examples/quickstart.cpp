@@ -6,6 +6,7 @@
 // agreement to the HMI and performs one synchronous operator write.
 #include <cstdio>
 
+#include "core/plant.h"
 #include "core/replicated_deployment.h"
 
 using namespace ss;
@@ -16,8 +17,8 @@ int main() {
   core::ReplicatedDeployment scada(options);
 
   // 2. Register data points (they exist on the Frontend and every Master).
-  ItemId temperature = scada.add_point("plant/reactor/temperature");
-  ItemId setpoint = scada.add_point("plant/reactor/setpoint",
+  ItemId temperature = scada.add_point(core::plant::kTemperatureName);
+  ItemId setpoint = scada.add_point(core::plant::kSetpointName,
                                     scada::Variant{20.0});
 
   // 3. Alarm when the temperature exceeds 90 degrees. Handler chains are

@@ -18,6 +18,13 @@ scada::MasterOptions baseline_master_options(sim::EventLoop& loop,
   return options;
 }
 
+NodeOptions node_options(const sim::CostModel& costs, std::uint32_t lanes) {
+  NodeOptions options;
+  options.per_message_cost = costs.serialize_per_msg;
+  options.lanes = lanes;
+  return options;
+}
+
 }  // namespace
 
 BaselineDeployment::BaselineDeployment(BaselineOptions options)
@@ -27,22 +34,13 @@ BaselineDeployment::BaselineDeployment(BaselineOptions options)
       keys_("baseline-secret"),
       master_(baseline_master_options(loop_, opt_.master_clock_skew,
                                       opt_.storage_retention)),
-      frontend_(scada::FrontendOptions{.instance_id = 1}),
-      hmi_(scada::HmiOptions{.instance_id = 2,
-                             .subscriber_name = kHmiEndpoint}),
       master_node_(net_, keys_, master_, opt_.costs, kMasterEndpoint,
                    opt_.costs.baseline_master_lanes),
-      frontend_node_(net_, keys_, frontend_,
-                     NodeOptions{.endpoint = kFrontendEndpoint,
-                                 .peer = kMasterEndpoint,
-                                 .per_message_cost =
-                                     opt_.costs.serialize_per_msg,
-                                 .lanes = opt_.costs.frontend_lanes}),
-      hmi_node_(net_, keys_, hmi_,
-                NodeOptions{.endpoint = kHmiEndpoint,
-                            .peer = kMasterEndpoint,
-                            .per_message_cost = opt_.costs.serialize_per_msg,
-                            .lanes = opt_.costs.hmi_lanes}) {
+      // No group: both nodes talk straight to the Master.
+      frontend_side_(net_, keys_, std::nullopt, {},
+                     node_options(opt_.costs, opt_.costs.frontend_lanes)),
+      hmi_side_(net_, keys_, std::nullopt, {},
+                node_options(opt_.costs, opt_.costs.hmi_lanes)) {
   obs::Tracer::instance().set_clock([this] { return loop_.now(); });
 }
 
@@ -52,7 +50,7 @@ BaselineDeployment::~BaselineDeployment() {
 
 ItemId BaselineDeployment::add_point(const std::string& name,
                                      scada::Variant initial) {
-  ItemId frontend_id = frontend_.add_item(name, std::move(initial));
+  ItemId frontend_id = frontend().add_item(name, std::move(initial));
   ItemId master_id = master_.add_item(name);
   if (frontend_id != master_id) {
     throw std::logic_error("item id mismatch between frontend and master");
@@ -61,7 +59,7 @@ ItemId BaselineDeployment::add_point(const std::string& name,
 }
 
 void BaselineDeployment::start() {
-  hmi_.subscribe_all();
+  hmi().subscribe_all();
   loop_.run_until(loop_.now() + opt_.costs.hop_latency * 4 + millis(1));
 }
 

@@ -7,10 +7,8 @@
 #include <memory>
 #include <string>
 
-#include "core/nodes.h"
+#include "core/assembly.h"
 #include "crypto/keychain.h"
-#include "scada/frontend.h"
-#include "scada/hmi.h"
 #include "scada/master.h"
 #include "sim/cost_model.h"
 #include "sim/event_loop.h"
@@ -42,8 +40,8 @@ class BaselineDeployment {
   sim::EventLoop& loop() { return loop_; }
   sim::Network& net() { return net_; }
   scada::ScadaMaster& master() { return master_; }
-  scada::Frontend& frontend() { return frontend_; }
-  scada::Hmi& hmi() { return hmi_; }
+  scada::Frontend& frontend() { return frontend_side_.frontend; }
+  scada::Hmi& hmi() { return hmi_side_.hmi; }
   const crypto::Keychain& keys() const { return keys_; }
 
   /// Runs the simulation until `deadline` (virtual time).
@@ -57,11 +55,9 @@ class BaselineDeployment {
   sim::Network net_;
   crypto::Keychain keys_;
   scada::ScadaMaster master_;
-  scada::Frontend frontend_;
-  scada::Hmi hmi_;
   MasterNode master_node_;
-  FrontendNode frontend_node_;
-  HmiNode hmi_node_;
+  FrontendSide frontend_side_;
+  HmiSide hmi_side_;
 };
 
 }  // namespace ss::core

@@ -2,35 +2,17 @@
 
 namespace ss::core {
 
-HmiNode::HmiNode(net::Transport& net, const crypto::Keychain& keys,
-                 scada::Hmi& hmi, NodeOptions options)
+template <class Component>
+ComponentNode<Component>::ComponentNode(net::Transport& net,
+                                        const crypto::Keychain& keys,
+                                        Component& component,
+                                        NodeOptions options)
     : net_(net),
       keys_(keys),
-      hmi_(hmi),
+      component_(component),
       opt_(std::move(options)),
       lanes_(net, opt_.lanes) {
-  hmi_.set_master_sink([this](const scada::ScadaMessage& msg) {
-    send_scada(net_, keys_, opt_.endpoint, opt_.peer, msg);
-  });
-  net_.attach(opt_.endpoint, [this](net::Message m) {
-    std::string sender;
-    auto decoded = receive_scada(keys_, opt_.endpoint, m, &sender);
-    if (!decoded.has_value() || sender != opt_.peer) return;
-    lanes_.submit(opt_.per_message_cost,
-                  [this, msg = std::move(*decoded)] { hmi_.handle(msg); });
-  });
-}
-
-HmiNode::~HmiNode() { net_.detach(opt_.endpoint); }
-
-FrontendNode::FrontendNode(net::Transport& net, const crypto::Keychain& keys,
-                           scada::Frontend& frontend, NodeOptions options)
-    : net_(net),
-      keys_(keys),
-      frontend_(frontend),
-      opt_(std::move(options)),
-      lanes_(net, opt_.lanes) {
-  frontend_.set_master_sink([this](const scada::ScadaMessage& msg) {
+  component_.set_master_sink([this](const scada::ScadaMessage& msg) {
     send_scada(net_, keys_, opt_.endpoint, opt_.peer, msg);
   });
   net_.attach(opt_.endpoint, [this](net::Message m) {
@@ -38,12 +20,18 @@ FrontendNode::FrontendNode(net::Transport& net, const crypto::Keychain& keys,
     auto decoded = receive_scada(keys_, opt_.endpoint, m, &sender);
     if (!decoded.has_value() || sender != opt_.peer) return;
     lanes_.submit(opt_.per_message_cost, [this, msg = std::move(*decoded)] {
-      frontend_.handle(msg);
+      component_.handle(msg);
     });
   });
 }
 
-FrontendNode::~FrontendNode() { net_.detach(opt_.endpoint); }
+template <class Component>
+ComponentNode<Component>::~ComponentNode() {
+  net_.detach(opt_.endpoint);
+}
+
+template class ComponentNode<scada::Hmi>;
+template class ComponentNode<scada::Frontend>;
 
 MasterNode::MasterNode(net::Transport& net, const crypto::Keychain& keys,
                        scada::ScadaMaster& master, const sim::CostModel& costs,

@@ -26,41 +26,29 @@ struct NodeOptions {
   std::uint32_t lanes = 1;
 };
 
-/// HMI behind an endpoint.
-class HmiNode {
+/// An HMI or a Frontend behind an endpoint: its Master-bound messages leave
+/// as authenticated frames to `peer`, and frames from `peer` reach its
+/// handler through the service lanes.
+template <class Component>
+class ComponentNode {
  public:
-  HmiNode(net::Transport& net, const crypto::Keychain& keys, scada::Hmi& hmi,
-          NodeOptions options);
-  ~HmiNode();
+  ComponentNode(net::Transport& net, const crypto::Keychain& keys,
+                Component& component, NodeOptions options);
+  ~ComponentNode();
 
-  HmiNode(const HmiNode&) = delete;
-  HmiNode& operator=(const HmiNode&) = delete;
+  ComponentNode(const ComponentNode&) = delete;
+  ComponentNode& operator=(const ComponentNode&) = delete;
 
  private:
   net::Transport& net_;
   const crypto::Keychain& keys_;
-  scada::Hmi& hmi_;
+  Component& component_;
   NodeOptions opt_;
   net::Lanes lanes_;
 };
 
-/// Frontend behind an endpoint.
-class FrontendNode {
- public:
-  FrontendNode(net::Transport& net, const crypto::Keychain& keys,
-               scada::Frontend& frontend, NodeOptions options);
-  ~FrontendNode();
-
-  FrontendNode(const FrontendNode&) = delete;
-  FrontendNode& operator=(const FrontendNode&) = delete;
-
- private:
-  net::Transport& net_;
-  const crypto::Keychain& keys_;
-  scada::Frontend& frontend_;
-  NodeOptions opt_;
-  net::Lanes lanes_;
-};
+using HmiNode = ComponentNode<scada::Hmi>;
+using FrontendNode = ComponentNode<scada::Frontend>;
 
 /// The baseline (non-replicated) SCADA Master behind an endpoint: multiple
 /// entry points, multi-lane CPU, local clock — stock NeoSCADA.

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/plant.h"
 #include "obs/trace.h"
 
 namespace ss::core {
@@ -10,40 +11,17 @@ ReplicatedDeployment::ReplicatedDeployment(ReplicatedOptions options)
     : opt_(options),
       net_(loop_, opt_.costs.hop_latency, opt_.costs.ns_per_byte,
            opt_.fault_seed),
-      keys_("smart-scada-secret"),
-      frontend_(scada::FrontendOptions{.instance_id = 1}),
-      hmi_(scada::HmiOptions{.instance_id = 2,
-                             .subscriber_name = kHmiEndpoint}) {
+      keys_(plant::kGroupSecret) {
   const std::uint32_t n = opt_.group.n;
 
   // Trace spans recorded by components without a transport reference (HMI,
   // Frontend, voter) stamp virtual time through the process-wide tracer.
   obs::Tracer::instance().set_clock([this] { return loop_.now(); });
 
-  // ProxyMasters: deterministic Master + Adapter + replica + timeout client.
-  masters_.reserve(n);
-  adapters_.reserve(n);
-  replicas_.reserve(n);
-  adapter_clients_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    scada::MasterOptions master_options;
-    master_options.deterministic = true;  // challenge (b)/(c): no local clock
-    master_options.storage_retention = opt_.storage_retention;
-    masters_.push_back(
-        std::make_unique<scada::ScadaMaster>(std::move(master_options)));
-
-    AdapterOptions adapter_options;
-    adapter_options.write_timeout = opt_.write_timeout;
-    adapter_options.costs = opt_.costs;
-    adapter_options.executor_lanes = opt_.executor_lanes;
-    adapters_.push_back(std::make_unique<Adapter>(
-        net_, opt_.group, ReplicaId{i}, keys_, *masters_.back(),
-        adapter_options));
-    adapters_.back()->register_client(kHmiEndpoint,
-                                      ClientId{kProxyHmiClient});
-    adapters_.back()->register_client(kFrontendEndpoint,
-                                      ClientId{kProxyFrontendClient});
-  }
+  AdapterOptions adapter_options;
+  adapter_options.write_timeout = opt_.write_timeout;
+  adapter_options.costs = opt_.costs;
+  adapter_options.executor_lanes = opt_.executor_lanes;
 
   bft::ReplicaOptions replica_options;
   replica_options.request_timeout = opt_.request_timeout;
@@ -55,69 +33,44 @@ ReplicatedDeployment::ReplicatedDeployment(ReplicatedOptions options)
   replica_options.lanes = opt_.costs.replicated_master_lanes;
   replica_options.epoch_handover_window = opt_.epoch_handover_window;
 
+  scada::MasterOptions master_options;
+  master_options.storage_retention = opt_.storage_retention;
+
+  bft::ClientOptions client_options;
+  client_options.reply_timeout = opt_.client_reply_timeout;
+
   killed_.assign(n, false);
+  stacks_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     bft::ReplicaOptions options_i = replica_options;
     if (opt_.durable) {
+      // In at construction: the MinBFT engine reads its USIG counter lease
+      // before the first message arrives.
       replica_storage_.push_back(std::make_unique<storage::ReplicaStorage>(
           storage_env_, "replica-" + std::to_string(i),
           "storage/replica-" + std::to_string(i)));
-      // Storage goes in at construction (not via the deprecated set_storage
-      // shim): the replica's engine may need durable state — the MinBFT
-      // USIG counter lease — before the first message arrives.
       options_i.storage = replica_storage_.back().get();
     }
-    replicas_.push_back(std::make_unique<bft::Replica>(
-        net_, opt_.group, ReplicaId{i}, keys_, *adapters_[i], *adapters_[i],
-        options_i));
-    adapters_[i]->attach_replica(replicas_.back().get());
-
-    bft::ClientOptions timeout_client_options;
-    timeout_client_options.reply_timeout = opt_.client_reply_timeout;
-    adapter_clients_.push_back(std::make_unique<bft::ClientProxy>(
-        net_, opt_.group, ClientId{kAdapterClientBase + i}, keys_,
-        timeout_client_options));
-    // Timeout injections reach the masters tagged with a neutral source:
-    // no adapter client is registered as a named source on purpose.
-    adapters_[i]->attach_timeout_client(adapter_clients_.back().get());
+    stacks_.push_back(std::make_unique<ProxyMaster>(
+        net_, opt_.group, ReplicaId{i}, keys_, master_options,
+        adapter_options, options_i, client_options));
   }
 
-  // Proxies.
-  ProxyOptions hmi_proxy_options;
-  hmi_proxy_options.endpoint = kProxyHmiEndpoint;
-  hmi_proxy_options.component_endpoint = kHmiEndpoint;
-  hmi_proxy_options.per_message_cost =
+  // The real HMI and Frontend behind their proxies.
+  ProxyOptions proxy_options;
+  proxy_options.per_message_cost =
       opt_.costs.serialize_per_msg + opt_.costs.voter_process;
-  hmi_proxy_options.lanes = opt_.costs.proxy_lanes;
-  hmi_proxy_options.client.reply_timeout = opt_.client_reply_timeout;
-  proxy_hmi_ = std::make_unique<ComponentProxy>(
-      net_, opt_.group, ClientId{kProxyHmiClient}, keys_, hmi_proxy_options);
-
-  ProxyOptions frontend_proxy_options;
-  frontend_proxy_options.endpoint = kProxyFrontendEndpoint;
-  frontend_proxy_options.component_endpoint = kFrontendEndpoint;
-  frontend_proxy_options.per_message_cost =
-      opt_.costs.serialize_per_msg + opt_.costs.voter_process;
-  frontend_proxy_options.lanes = opt_.costs.proxy_lanes;
-  frontend_proxy_options.client.reply_timeout = opt_.client_reply_timeout;
-  frontend_proxy_options.client.max_inflight = opt_.frontend_max_inflight;
-  proxy_frontend_ = std::make_unique<ComponentProxy>(
-      net_, opt_.group, ClientId{kProxyFrontendClient}, keys_,
-      frontend_proxy_options);
-
-  // The real HMI and Frontend, pointed at their proxies.
-  frontend_node_ = std::make_unique<FrontendNode>(
-      net_, keys_, frontend_,
-      NodeOptions{.endpoint = kFrontendEndpoint,
-                  .peer = kProxyFrontendEndpoint,
-                  .per_message_cost = opt_.costs.serialize_per_msg,
-                  .lanes = opt_.costs.frontend_lanes});
-  hmi_node_ = std::make_unique<HmiNode>(
-      net_, keys_, hmi_,
-      NodeOptions{.endpoint = kHmiEndpoint,
-                  .peer = kProxyHmiEndpoint,
-                  .per_message_cost = opt_.costs.serialize_per_msg,
-                  .lanes = opt_.costs.hmi_lanes});
+  proxy_options.lanes = opt_.costs.proxy_lanes;
+  proxy_options.client = client_options;
+  NodeOptions node_options;
+  node_options.per_message_cost = opt_.costs.serialize_per_msg;
+  node_options.lanes = opt_.costs.hmi_lanes;
+  hmi_side_ = std::make_unique<HmiSide>(net_, keys_, opt_.group,
+                                        proxy_options, node_options);
+  proxy_options.client.max_inflight = opt_.frontend_max_inflight;
+  node_options.lanes = opt_.costs.frontend_lanes;
+  frontend_side_ = std::make_unique<FrontendSide>(net_, keys_, opt_.group,
+                                                  proxy_options, node_options);
 }
 
 ReplicatedDeployment::~ReplicatedDeployment() {
@@ -126,9 +79,9 @@ ReplicatedDeployment::~ReplicatedDeployment() {
 
 ItemId ReplicatedDeployment::add_point(const std::string& name,
                                        scada::Variant initial) {
-  ItemId frontend_id = frontend_.add_item(name, std::move(initial));
-  for (auto& master : masters_) {
-    ItemId master_id = master->add_item(name);
+  ItemId frontend_id = frontend().add_item(name, std::move(initial));
+  for (auto& stack : stacks_) {
+    ItemId master_id = stack->master.add_item(name);
     if (master_id != frontend_id) {
       throw std::logic_error("item id mismatch between frontend and master");
     }
@@ -138,7 +91,7 @@ ItemId ReplicatedDeployment::add_point(const std::string& name,
 
 void ReplicatedDeployment::configure_masters(
     const std::function<void(scada::ScadaMaster&)>& configure) {
-  for (auto& master : masters_) configure(*master);
+  for (auto& stack : stacks_) configure(stack->master);
 }
 
 void ReplicatedDeployment::start() {
@@ -147,12 +100,12 @@ void ReplicatedDeployment::start() {
     // static configuration, before any decision executed — captured now
     // (points added, no traffic yet) so reboot() can reset the shared app
     // objects to it.
-    genesis_images_.reserve(replicas_.size());
-    for (auto& replica : replicas_) {
-      genesis_images_.push_back(replica->full_snapshot());
+    genesis_images_.reserve(stacks_.size());
+    for (auto& stack : stacks_) {
+      genesis_images_.push_back(stack->replica.full_snapshot());
     }
   }
-  hmi_.subscribe_all();
+  hmi().subscribe_all();
   // Let the subscriptions order and execute before traffic starts.
   loop_.run_until(loop_.now() + millis(50));
 }
@@ -167,7 +120,7 @@ void ReplicatedDeployment::set_fsync_stall(std::uint32_t i, SimTime stall) {
         if (fsync_stalls_[r] <= 0) continue;
         std::string prefix = "replica-" + std::to_string(r) + "/";
         if (path.compare(0, prefix.size(), prefix) == 0) {
-          replicas_.at(r)->charge(fsync_stalls_[r]);
+          replica(r).charge(fsync_stalls_[r]);
           return;
         }
       }
@@ -188,22 +141,22 @@ void ReplicatedDeployment::kill_replica_process(std::uint32_t i) {
   // record before the decision takes effect, so in practice this only drops
   // bytes a torn-write test planted deliberately.)
   storage_env_.drop_unsynced("replica-" + std::to_string(i) + "/");
-  replicas_.at(i)->crash();
+  replica(i).crash();
 }
 
 void ReplicatedDeployment::restart_replica_process(std::uint32_t i) {
   if (!opt_.durable || !killed_.at(i)) return;
   killed_.at(i) = false;
-  replicas_.at(i)->reboot(genesis_images_.empty() ? ByteView{}
-                                                  : ByteView(genesis_images_.at(i)));
+  replica(i).reboot(genesis_images_.empty() ? ByteView{}
+                                            : ByteView(genesis_images_.at(i)));
 }
 
 bool ReplicatedDeployment::masters_converged() const {
   const crypto::Digest* reference = nullptr;
   crypto::Digest first;
   for (std::uint32_t i = 0; i < opt_.group.n; ++i) {
-    if (replicas_[i]->crashed()) continue;
-    crypto::Digest digest = masters_[i]->state_digest();
+    if (stacks_[i]->replica.crashed()) continue;
+    crypto::Digest digest = stacks_[i]->master.state_digest();
     if (reference == nullptr) {
       first = digest;
       reference = &first;

@@ -10,15 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "bft/client.h"
-#include "bft/replica.h"
-#include "core/adapter.h"
-#include "core/nodes.h"
-#include "core/proxies.h"
+#include "core/assembly.h"
 #include "crypto/keychain.h"
-#include "scada/frontend.h"
-#include "scada/hmi.h"
-#include "scada/master.h"
 #include "sim/cost_model.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
@@ -55,11 +48,6 @@ struct ReplicatedOptions {
   std::uint32_t frontend_max_inflight = 0;
 };
 
-/// Well-known client ids.
-inline constexpr std::uint32_t kProxyHmiClient = 1;
-inline constexpr std::uint32_t kProxyFrontendClient = 2;
-inline constexpr std::uint32_t kAdapterClientBase = 100;
-
 class ReplicatedDeployment {
  public:
   explicit ReplicatedDeployment(ReplicatedOptions options = {});
@@ -81,30 +69,30 @@ class ReplicatedDeployment {
 
   sim::EventLoop& loop() { return loop_; }
   sim::Network& net() { return net_; }
-  scada::Hmi& hmi() { return hmi_; }
-  scada::Frontend& frontend() { return frontend_; }
-  scada::ScadaMaster& master(std::uint32_t i) { return *masters_.at(i); }
-  bft::Replica& replica(std::uint32_t i) { return *replicas_.at(i); }
-  Adapter& adapter(std::uint32_t i) { return *adapters_.at(i); }
-  ComponentProxy& proxy_hmi() { return *proxy_hmi_; }
-  ComponentProxy& proxy_frontend() { return *proxy_frontend_; }
+  scada::Hmi& hmi() { return hmi_side_->hmi; }
+  scada::Frontend& frontend() { return frontend_side_->frontend; }
+  scada::ScadaMaster& master(std::uint32_t i) { return stacks_.at(i)->master; }
+  bft::Replica& replica(std::uint32_t i) { return stacks_.at(i)->replica; }
+  Adapter& adapter(std::uint32_t i) { return stacks_.at(i)->adapter; }
+  ComponentProxy& proxy_hmi() { return *hmi_side_->proxy; }
+  ComponentProxy& proxy_frontend() { return *frontend_side_->proxy; }
   const crypto::Keychain& keys() const { return keys_; }
 
   /// Fault injection helpers.
-  void crash_replica(std::uint32_t i) { replicas_.at(i)->crash(); }
-  void recover_replica(std::uint32_t i) { replicas_.at(i)->recover(); }
+  void crash_replica(std::uint32_t i) { replica(i).crash(); }
+  void recover_replica(std::uint32_t i) { replica(i).recover(); }
   void set_byzantine(std::uint32_t i, bft::ByzantineMode mode) {
-    replicas_.at(i)->set_byzantine(mode);
+    replica(i).set_byzantine(mode);
   }
 
   // Gray-failure injection (chaos hooks): replica i stays correct but slow.
   /// Extra virtual CPU per inbound message on replica i (0 clears).
   void set_processing_delay(std::uint32_t i, SimTime delay) {
-    replicas_.at(i)->set_processing_delay(delay);
+    replica(i).set_processing_delay(delay);
   }
   /// Local-timer skew multiplier on replica i (1.0 clears).
   void set_timer_skew(std::uint32_t i, double factor) {
-    replicas_.at(i)->set_timer_skew(factor);
+    replica(i).set_timer_skew(factor);
   }
   /// Every fsync in replica i's state dir charges this much extra virtual
   /// CPU to the replica — a degraded disk (0 clears). Durable mode only;
@@ -129,16 +117,16 @@ class ReplicatedDeployment {
 
   /// Voter/adapter stat exposure for invariant checkers and benches.
   const PushVoterStats& hmi_voter_stats() const {
-    return proxy_hmi_->voter_stats();
+    return hmi_side_->proxy->voter_stats();
   }
   const PushVoterStats& frontend_voter_stats() const {
-    return proxy_frontend_->voter_stats();
+    return frontend_side_->proxy->voter_stats();
   }
   const AdapterStats& adapter_stats(std::uint32_t i) const {
-    return adapters_.at(i)->stats();
+    return stacks_.at(i)->adapter.stats();
   }
   const bft::ReplicaStats& replica_stats(std::uint32_t i) const {
-    return replicas_.at(i)->stats();
+    return stacks_.at(i)->replica.stats();
   }
 
   /// True when all non-crashed masters report the same state digest.
@@ -153,14 +141,10 @@ class ReplicatedDeployment {
   sim::Network net_;
   crypto::Keychain keys_;
 
-  std::vector<std::unique_ptr<scada::ScadaMaster>> masters_;
-  std::vector<std::unique_ptr<Adapter>> adapters_;
-  std::vector<std::unique_ptr<bft::Replica>> replicas_;
-  std::vector<std::unique_ptr<bft::ClientProxy>> adapter_clients_;
-
   // Durable mode: one simulated "disk" shared by the deployment, one state
   // dir per replica, and the genesis image reboot() restores before
   // layering recovered state on top (captured in start(), pre-traffic).
+  // Declared before the stacks, whose replicas use them.
   storage::MemEnv storage_env_;
   std::vector<std::unique_ptr<storage::ReplicaStorage>> replica_storage_;
   std::vector<Bytes> genesis_images_;
@@ -169,13 +153,9 @@ class ReplicatedDeployment {
   /// first use; drives the MemEnv sync observer.
   std::vector<SimTime> fsync_stalls_;
 
-  std::unique_ptr<ComponentProxy> proxy_hmi_;
-  std::unique_ptr<ComponentProxy> proxy_frontend_;
-
-  scada::Frontend frontend_;
-  scada::Hmi hmi_;
-  std::unique_ptr<FrontendNode> frontend_node_;
-  std::unique_ptr<HmiNode> hmi_node_;
+  std::vector<std::unique_ptr<ProxyMaster>> stacks_;
+  std::unique_ptr<HmiSide> hmi_side_;
+  std::unique_ptr<FrontendSide> frontend_side_;
 };
 
 }  // namespace ss::core

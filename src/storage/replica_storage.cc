@@ -1,13 +1,31 @@
 #include "storage/replica_storage.h"
 
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "common/bytes.h"
 
 namespace ss::storage {
 
 namespace {
+
+/// The counter in `path`, 0 when the file does not exist. A file that
+/// exists but holds no counter throws: read as 0, it would restart the USIG
+/// counter below values already certified, or reuse a key epoch.
+template <typename T>
+T read_counter(const Env& env, const std::string& path) {
+  const std::optional<Bytes> raw = env.read_file(path);
+  if (!raw) return 0;
+  const char* text = reinterpret_cast<const char*>(raw->data());
+  const char* end = text + raw->size();
+  T value = 0;
+  const auto [last, error] = std::from_chars(text, end, value);
+  if (raw->empty() || error != std::errc{} || last != end) {
+    throw std::runtime_error("replica storage: " + path + " holds no counter");
+  }
+  return value;
+}
 
 std::uint64_t wall_ns() {
   // Wall-clock time feeds latency histograms only, never anything the
@@ -27,14 +45,8 @@ ReplicaStorage::ReplicaStorage(Env& env, std::string dir,
       wal_(env_, dir_),
       checkpoints_(env_, dir_),
       fsync_ns_(obs::Registry::instance().histogram("storage.fsync_ns")) {
-  if (std::optional<Bytes> raw = env_.read_file(dir_ + "/epoch")) {
-    std::string text(raw->begin(), raw->end());
-    epoch_ = static_cast<std::uint32_t>(std::strtoul(text.c_str(), nullptr, 10));
-  }
-  if (std::optional<Bytes> raw = env_.read_file(dir_ + "/usig")) {
-    std::string text(raw->begin(), raw->end());
-    usig_lease_ = std::strtoull(text.c_str(), nullptr, 10);
-  }
+  epoch_ = read_counter<std::uint32_t>(env_, dir_ + "/epoch");
+  usig_lease_ = read_counter<std::uint64_t>(env_, dir_ + "/usig");
   metrics_ = obs::Registry::instance().add_source(
       std::move(metrics_prefix), [this](const obs::Registry::Emit& emit) {
         emit("decisions_logged", static_cast<double>(stats_.decisions_logged));
@@ -73,19 +85,24 @@ void ReplicaStorage::write_checkpoint(const CheckpointMeta& meta,
 }
 
 std::uint32_t ReplicaStorage::bump_epoch() {
-  ++epoch_;
-  // write_file creates/truncates and syncs the file itself; a torn write
-  // at worst loses the bump, which peers tolerate (the replica comes back
-  // presenting its previous epoch, still accepted as current).
-  std::string text = std::to_string(epoch_);
-  env_.write_file(dir_ + "/epoch", ss::bytes_of(text));
+  write_counter("epoch", ++epoch_);
   return epoch_;
 }
 
 void ReplicaStorage::write_usig_lease(std::uint64_t lease) {
   usig_lease_ = lease;
-  std::string text = std::to_string(lease);
-  env_.write_file(dir_ + "/usig", ss::bytes_of(text));
+  write_counter("usig", lease);
+}
+
+void ReplicaStorage::write_counter(const char* name, std::uint64_t value) {
+  // Written under a tmp name, synced, renamed over the old file and the
+  // rename made durable, as CheckpointStore writes a snapshot: rewritten in
+  // place, a kill between write_file's truncation and its write would
+  // leave an empty file.
+  const std::string path = dir_ + "/" + name;
+  env_.write_file(path + ".tmp", ss::bytes_of(std::to_string(value)));
+  env_.rename_file(path + ".tmp", path);
+  env_.sync_dir(dir_);
 }
 
 void ReplicaStorage::note_recovery(std::uint64_t duration_ns,

@@ -6,6 +6,9 @@
 //   snapshot.tmp   — transient, only during a checkpoint write
 //   wal            — decided batches since that checkpoint (see wal.h)
 //   wal.tmp        — transient, only during a WAL truncation
+//   epoch          — the session-key epoch, in decimal
+//   usig           — the USIG counter lease (MinBFT), in decimal
+//   epoch.tmp, usig.tmp — transient, only while either is rewritten
 //
 // The ordering invariant the two files maintain together: the WAL record
 // for cid is durable BEFORE the decision executes, and the WAL is truncated
@@ -69,11 +72,12 @@ class ReplicaStorage {
   /// Increments and durably persists the key epoch; returns the new value.
   std::uint32_t bump_epoch();
 
-  /// Durable USIG counter lease (see crypto::Usig). Unlike the key epoch,
-  /// a torn write here would be a safety violation — a reincarnation that
-  /// reuses a counter value forges "monotonic" certificates — so the lease
-  /// is persisted BEFORE any certificate it covers is issued, and the
-  /// sync is part of write_file itself.
+  /// Durable USIG counter lease (see crypto::Usig). A lease that read back
+  /// lower would be a safety violation — a reincarnation that reuses a
+  /// counter value forges "monotonic" certificates — so the lease is
+  /// persisted BEFORE any certificate it covers is issued. Like the key
+  /// epoch, it is replaced atomically: a crash leaves the old value or the
+  /// new one, and the constructor throws on a file it cannot parse.
   std::uint64_t usig_lease() const { return usig_lease_; }
   void write_usig_lease(std::uint64_t lease);
 
@@ -82,6 +86,9 @@ class ReplicaStorage {
   const std::string& dir() const { return dir_; }
 
  private:
+  /// Durably replaces <dir>/<name> with `value` in decimal.
+  void write_counter(const char* name, std::uint64_t value);
+
   Env& env_;
   std::string dir_;
   Wal wal_;

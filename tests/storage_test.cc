@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -310,7 +311,9 @@ TEST(WalFootprint, TruncatingACoveredLogReadsNothingBack) {
 }
 
 /// Forwards to a MemEnv and keeps, before and after every call that
-/// changes a file, the disk a `kill -9` at that moment would leave.
+/// changes a file, the disk a `kill -9` at that moment would leave. A
+/// write_file also leaves the state PosixEnv passes through between its
+/// open(O_TRUNC) and its write: the file there, and empty.
 class CrashPointEnv final : public Env {
  public:
   explicit CrashPointEnv(MemEnv& env) : env_(env) {}
@@ -321,10 +324,16 @@ class CrashPointEnv final : public Env {
     return env_.read_file(path);
   }
   void write_file(const std::string& path, ByteView data) override {
-    around([&] { env_.write_file(path, data); });
+    around([&] {
+      truncated(path);
+      env_.write_file(path, data);
+    });
   }
   void write_file(const std::string& path, const Pieces& data) override {
-    around([&] { env_.write_file(path, data); });
+    around([&] {
+      truncated(path);
+      env_.write_file(path, data);
+    });
   }
   std::unique_ptr<AppendFile> open_append(const std::string& path) override {
     std::unique_ptr<AppendFile> file;
@@ -359,6 +368,10 @@ class CrashPointEnv final : public Env {
     MemEnv image = env_;
     image.drop_unsynced();
     images.push_back(std::move(image));
+  }
+  void truncated(const std::string& path) {
+    capture();
+    images.back().write_file(path, ByteView{});
   }
 
   MemEnv& env_;
@@ -575,6 +588,47 @@ TEST(ReplicaStorage, CheckpointTruncatesTheWalItCovers) {
   ReplicaStorage reopened(env, "d", "storage/test-0b");
   ASSERT_EQ(reopened.wal_records().size(), 2u);
   EXPECT_EQ(reopened.load_checkpoint()->cid.value, 4u);
+}
+
+TEST(ReplicaStorage, EveryStepOfAnEpochOrLeaseAdvanceLeavesTheOldOrTheNewValue) {
+  MemEnv mem;
+  {
+    ReplicaStorage store(mem, "d", "storage/test-counters-0");
+    for (int k = 0; k < 3; ++k) store.bump_epoch();
+    store.write_usig_lease(128);
+  }
+  CrashPointEnv env(mem);
+  ReplicaStorage store(env, "d", "storage/test-counters-1");
+  env.images.clear();
+  EXPECT_EQ(store.bump_epoch(), 4u);
+  store.write_usig_lease(256);
+  bool saw_old = false;
+  bool saw_new = false;
+  for (MemEnv& image : env.images) {
+    ReplicaStorage reopened(image, "d", "storage/test-counters-image");
+    const std::uint32_t epoch = reopened.key_epoch();
+    const std::uint64_t lease = reopened.usig_lease();
+    EXPECT_TRUE(epoch == 3 || epoch == 4) << epoch;
+    EXPECT_TRUE(lease == 128 || lease == 256) << lease;
+    saw_old |= epoch == 3 && lease == 128;
+    saw_new |= epoch == 4 && lease == 256;
+  }
+  EXPECT_TRUE(saw_old && saw_new);
+  // Per counter: the tmp write (with its truncated image), the rename and
+  // the directory sync, each captured before and after.
+  EXPECT_GE(env.images.size(), 14u);
+}
+
+TEST(ReplicaStorage, ACounterFileThatHoldsNoCounterThrows) {
+  for (const char* file : {"d/epoch", "d/usig"}) {
+    for (const char* text : {"", "12x", "-1", "99999999999999999999999"}) {
+      MemEnv env;
+      env.write_file(file, payload_of(text));
+      EXPECT_THROW(ReplicaStorage(env, "d", "storage/test-unreadable"),
+                   std::runtime_error)
+          << file << " = \"" << text << "\"";
+    }
+  }
 }
 
 TEST(ReplicaStorage, NoteRecoveryFeedsTheMetrics) {
